@@ -59,7 +59,7 @@ def _exit_code(result: RunResult) -> int:
 def _cmd_synth_run(args) -> int:
     cfg = _collect_config(args)
     result = run_online(cfg)
-    emit_outputs(result.records, (result.A, result.B, result.C), cfg, args.out)
+    emit_outputs(result.records, (result.A, result.B, result.C), cfg, args.out, result)
     return _exit_code(result)
 
 
@@ -79,7 +79,7 @@ def _cmd_decompose(args) -> int:
     cfg = _collect_config(args, defaults)
     source = FileSource(cfg, tensors)
     result = run_online(cfg, source)
-    emit_outputs(result.records, (result.A, result.B, result.C), cfg, args.out)
+    emit_outputs(result.records, (result.A, result.B, result.C), cfg, args.out, result)
     return _exit_code(result)
 
 
@@ -148,7 +148,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--J", required=True, help="first paired dimension")
     p.add_argument("--K", required=True, help="second paired dimension")
     p.add_argument("--svd_tol", default="1e-12")
-    p.add_argument("--workers", default="1")
+    p.add_argument("--workers", default="1", help="accepted; has no effect")
     p.add_argument("--out", default="sparsecp_out", help="output directory")
     p.set_defaults(func=_cmd_untangle)
 

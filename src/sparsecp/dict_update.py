@@ -1,14 +1,12 @@
 """Dictionary update stage: empirical gradient, descent step, renormalization.
 
-The gradient is a reduction over sample columns. Partial products are
-computed over fixed-size column blocks and summed in block order, so the
-result is bit-stable across worker counts.
+The gradient is one product over all selected sample columns. The
+`workers` argument is accepted for compatibility and has no effect.
 """
 
 from __future__ import annotations
 
 import enum
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -16,8 +14,6 @@ import numpy as np
 from .linalg import as_matrix, normalize_columns
 
 __all__ = ["SampleMode", "DictStepParams", "gradient", "step_and_normalize", "descent_correlation"]
-
-COLUMN_BLOCK = 1024
 
 
 class SampleMode(enum.Enum):
@@ -57,6 +53,7 @@ def gradient(A, Xsel, Ysel, workers: int = 1) -> np.ndarray:
 
     Xsel/Ysel are the columns already selected per sample_mode; p' = 0 is
     an error, the caller skips the update for that iteration instead.
+    workers has no effect.
     """
     A = as_matrix(A)
     Xsel = as_matrix(Xsel)
@@ -71,23 +68,7 @@ def gradient(A, Xsel, Ysel, workers: int = 1) -> np.ndarray:
             f"Ysel {Ysel.shape[0]}x{Ysel.shape[1]}"
         )
 
-    starts = list(range(0, p, COLUMN_BLOCK))
-
-    def partial(s: int) -> np.ndarray:
-        e = min(s + COLUMN_BLOCK, p)
-        Xb = Xsel[:, s:e]
-        return (A @ Xb - Ysel[:, s:e]) @ np.sign(Xb).T
-
-    if workers > 1 and len(starts) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            partials = list(pool.map(partial, starts))
-    else:
-        partials = [partial(s) for s in starts]
-    # Fixed-order fold keeps the reduction independent of scheduling.
-    g = partials[0]
-    for q in partials[1:]:
-        g = g + q
-    g = g / p
+    g = (A @ Xsel - Ysel) @ np.sign(Xsel).T / p
     if not np.all(np.isfinite(g)):
         raise ValueError("Gradient has non-finite entries")
     return g

@@ -266,6 +266,8 @@ class IterationRecord:
 
 @dataclass(frozen=True, eq=False)
 class RunResult:
+    """Run outcome; wall_ms is the whole run's time, logged iterations or not."""
+
     records: tuple[IterationRecord, ...]
     A: np.ndarray
     B: np.ndarray
@@ -274,6 +276,7 @@ class RunResult:
     stop_reason: str
     converged: bool
     iterations: int
+    wall_ms: float
 
 
 class TensorSource(Protocol):
@@ -374,6 +377,7 @@ def _min_descent_correlation(g, A_prev, A_star, align, used, eps_T) -> float:
 
 def run_online(cfg: SolverConfig, source: TensorSource | None = None) -> RunResult:
     """Run the online decomposition and return factors, records, stop reason."""
+    start = time.perf_counter()
     if source is None:
         source = SyntheticSource(cfg)
     A = as_matrix(source.initial_dictionary(), rows=cfg.n, cols=cfg.m)
@@ -460,7 +464,9 @@ def run_online(cfg: SolverConfig, source: TensorSource | None = None) -> RunResu
             err_B_max = 0.0
             err_C_max = 0.0
             min_corr = 0.0
-            should_stop = g is not None and movement <= cfg.eps_T
+            # all-zero codes give a zero gradient: no movement, but nothing learned
+            learned = g is not None and bool(Xh[:, sel].any())
+            should_stop = learned and movement <= cfg.eps_T
 
         wall_ms = (time.perf_counter() - tick) * 1000.0
         record = IterationRecord(
@@ -496,4 +502,5 @@ def run_online(cfg: SolverConfig, source: TensorSource | None = None) -> RunResu
         stop_reason=stop_reason,
         converged=converged,
         iterations=iterations,
+        wall_ms=(time.perf_counter() - start) * 1000.0,
     )

@@ -17,7 +17,7 @@ from typing import Sequence
 import numpy as np
 
 from .linalg import as_matrix
-from .runner import IterationRecord, SolverConfig
+from .runner import IterationRecord, RunResult, SolverConfig
 from .tensor_core import as_tensor3
 
 __all__ = [
@@ -238,13 +238,17 @@ def write_metrics_csv(path, records: Sequence[IterationRecord]) -> None:
             fh.write(_metrics_row(r) + "\n")
 
 
-def emit_outputs(records, factors, cfg: SolverConfig, out_dir) -> None:
+def emit_outputs(
+    records, factors, cfg: SolverConfig, out_dir, result: RunResult | None = None
+) -> None:
     """Write metrics.csv, A/B/C factor CSVs, and a config echo to out_dir,
     then print a one-line run summary.
 
-    factors is the (A, B, C) triple from the run. Convergence for the
-    summary is judged the way the run loop judged it: last logged
-    err_A_max against eps_T.
+    factors is the (A, B, C) triple from the run. With result, the
+    summary's state, stop reason and wall_ms come from the run itself, so
+    they agree with the exit code and count every iteration, logged or
+    not. Without it, only the records are known: the state is judged from
+    the last logged err_A_max against eps_T and wall_ms sums the records.
     """
     records = list(records)
     A, B, C = factors
@@ -254,13 +258,17 @@ def emit_outputs(records, factors, cfg: SolverConfig, out_dir) -> None:
     write_matrix_csv(os.path.join(out_dir, "B.csv"), B)
     write_matrix_csv(os.path.join(out_dir, "C.csv"), C)
     write_config_echo(cfg, os.path.join(out_dir, "config.txt"))
-    if records:
-        last = records[-1]
-        state = "converged" if last.err_A_max <= cfg.eps_T else "stopped"
-        total_ms = sum(r.wall_ms for r in records)
-        print(
-            f"{state} t={last.t} p={last.p} err_A_max={last.err_A_max:.3e} "
-            f"data_fit={last.data_fit:.3e} wall_ms={total_ms:.1f} -> {out_dir}"
-        )
-    else:
+    if not records:
         print(f"no iterations logged -> {out_dir}")
+        return
+    last = records[-1]
+    if result is None:
+        state = "converged" if last.err_A_max <= cfg.eps_T else "stopped"
+        reason, total_ms = "", sum(r.wall_ms for r in records)
+    else:
+        state = "converged" if result.converged else "stopped"
+        reason, total_ms = f" stop_reason={result.stop_reason}", result.wall_ms
+    print(
+        f"{state} t={last.t} p={last.p} err_A_max={last.err_A_max:.3e} "
+        f"data_fit={last.data_fit:.3e} wall_ms={total_ms:.1f}{reason} -> {out_dir}"
+    )

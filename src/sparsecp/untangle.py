@@ -3,14 +3,13 @@
 Row i of Shat is reshaped to the J x K matrix M with M[j, k] =
 Shat[i, k*J + j]; the principal rank-1 SVD triple (sigma1, u1, v1) then
 splits into B_i = sqrt(sigma1) u1, C_i = sqrt(sigma1) v1. Rows are
-independent; they are processed in fixed-size blocks so results do not
-depend on the worker count.
+independent and processed in order; the `workers` argument is accepted
+for compatibility and has no effect.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -18,8 +17,6 @@ import numpy as np
 from .linalg import DEFAULT_SVD_MAX_ITER, DEFAULT_SVD_TOL, PowerIterationError, as_matrix, rank1_svd
 
 __all__ = ["UntangledFactors", "untangle_krp"]
-
-ROW_BLOCK = 64
 
 
 @dataclass(frozen=True, eq=False)
@@ -29,13 +26,6 @@ class UntangledFactors:
     B: np.ndarray
     C: np.ndarray
     degenerate_rows: tuple[int, ...] = field(default=())
-
-
-def _untangle_row(row: np.ndarray, J: int, K: int, svd_tol: float, max_iter: int):
-    M = row.reshape(K, J).T
-    svd = rank1_svd(M, tol=svd_tol, max_iter=max_iter)
-    s = math.sqrt(svd.sigma1)
-    return s * svd.u1, s * svd.v1
 
 
 def untangle_krp(
@@ -50,7 +40,7 @@ def untangle_krp(
 
     All-zero rows yield zero columns in both factors and are flagged in
     degenerate_rows rather than raised, so the online loop can continue
-    when an atom goes unused.
+    when an atom goes unused. workers has no effect.
     """
     Shat = as_matrix(Shat)
     m, total = Shat.shape
@@ -59,32 +49,16 @@ def untangle_krp(
     B = np.zeros((J, m), order="F")
     C = np.zeros((K, m), order="F")
     degenerate: list[int] = []
-
-    rows = list(range(0, m, ROW_BLOCK))
-
-    def run(s: int):
-        e = min(s + ROW_BLOCK, m)
-        out = []
-        for i in range(s, e):
-            row = Shat[i, :]
-            if not row.any():
-                out.append((i, None))
-                continue
-            try:
-                out.append((i, _untangle_row(row, J, K, svd_tol, max_iter)))
-            except PowerIterationError as exc:
-                raise RuntimeError(f"Rank-1 SVD failed on row {i}: {exc}") from exc
-        return out
-
-    if workers > 1 and len(rows) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            blocks = list(pool.map(run, rows))
-    else:
-        blocks = [run(s) for s in rows]
-    for block in blocks:
-        for i, cols in block:
-            if cols is None:
-                degenerate.append(i)
-            else:
-                B[:, i], C[:, i] = cols
+    for i in range(m):
+        row = Shat[i, :]
+        if not row.any():
+            degenerate.append(i)
+            continue
+        try:
+            svd = rank1_svd(row.reshape(K, J).T, tol=svd_tol, max_iter=max_iter)
+        except PowerIterationError as exc:
+            raise RuntimeError(f"Rank-1 SVD failed on row {i}: {exc}") from exc
+        s = math.sqrt(svd.sigma1)
+        B[:, i] = s * svd.u1
+        C[:, i] = s * svd.v1
     return UntangledFactors(B, C, tuple(degenerate))

@@ -82,3 +82,13 @@ def scalar_iht(y, x0, eta: float, tau: float, R: int) -> np.ndarray:
         x = x - eta * (x - y)
         x[np.abs(x) < tau] = 0.0
     return x
+
+
+def residual_iht(A, y, x0, eta: float, tau: float, R: int) -> np.ndarray:
+    """One column of IHT in residual form: x <- T_tau(x - eta A^T (A x - y))."""
+    A = np.asarray(A, dtype=np.float64)
+    x = np.array(x0, dtype=np.float64, copy=True)
+    for _ in range(R):
+        x = x - eta * (A.T @ (A @ x - y))
+        x[np.abs(x) < tau] = 0.0
+    return x

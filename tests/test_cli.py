@@ -113,14 +113,27 @@ def test_decompose_dims_from_tensor_header(tmp_path, capsys):
         ["decompose", str(p), "--m", "2", "--eta_A", "1.0", "--T_max", "5",
          "--eps_T", "1e-300", "--out", str(out)]
     )
-    # the lone spike is below every code threshold, so the dictionary
-    # never moves and the movement rule fires immediately
-    assert code == 0
-    capsys.readouterr()
+    # the lone spike is below every code threshold, so every code is zero:
+    # the dictionary never moves, but no movement stop fires on zero codes
+    assert code == 2
+    assert "stop_reason=source_exhausted" in capsys.readouterr().out
     echoed = dict(
         kv.split("=", 1) for kv in (out / "config.txt").read_text().splitlines() if "=" in kv
     )
     assert (echoed["n"], echoed["J"], echoed["K"]) == ("5", "3", "2")
+
+
+def test_decompose_all_zero_files_stop(tmp_path, capsys):
+    paths = []
+    for t in range(2):
+        p = tmp_path / f"zero{t}.tnsr"
+        write_tnsr(p, np.zeros((5, 3, 2)))
+        paths.append(str(p))
+    code = main(["decompose", *paths, "--m", "2", "--eta_A", "1", "--out", str(tmp_path / "z")])
+    assert code == 2
+    msg = capsys.readouterr().out
+    assert msg.startswith("stopped t=1 ")
+    assert "stop_reason=source_exhausted" in msg
 
 
 def test_decompose_scale_max(tmp_path, capsys):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from sparsecp.runner import IterationRecord, RunMode, SolverConfig
+from sparsecp.runner import IterationRecord, RunMode, RunResult, SolverConfig
 from sparsecp.synth import Distribution
 from sparsecp.tensorio import (
     METRICS_HEADER,
@@ -253,3 +253,16 @@ def test_emit_outputs_not_converged(tmp_path, capsys):
     Ms = (np.zeros((20, 4)), np.zeros((6, 4)), np.zeros((5, 4)))
     emit_outputs([record(0)], Ms, cfg, tmp_path / "o2")
     assert capsys.readouterr().out.startswith("stopped t=0 ")
+
+
+def test_emit_outputs_summary_follows_run_result(tmp_path, capsys):
+    # the last logged movement is within eps_T, but the run ran out of files
+    cfg = SolverConfig(n=20, J=6, K=5, m=4, alpha=0.2, beta=0.2, eps_T=1e-8)
+    Ms = (np.zeros((20, 4)), np.zeros((6, 4)), np.zeros((5, 4)))
+    records = (record(0), record(5, err_A_max=0.0))
+    result = RunResult(records, *Ms, X=np.zeros((4, 0)), stop_reason="source_exhausted",
+                       converged=False, iterations=7, wall_ms=1234.5)
+    emit_outputs(records, Ms, cfg, tmp_path / "o3", result)
+    msg = capsys.readouterr().out
+    assert msg.startswith("stopped t=5 ")
+    assert "wall_ms=1234.5 stop_reason=source_exhausted" in msg

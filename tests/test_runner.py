@@ -1,4 +1,5 @@
 import math
+import time
 
 import numpy as np
 import pytest
@@ -12,7 +13,13 @@ from sparsecp.runner import (
     SyntheticSource,
     run_online,
 )
-from sparsecp.synth import Distribution, SparsityParams, gen_dictionary, gen_tensor_instance
+from sparsecp.synth import (
+    Distribution,
+    SparsityParams,
+    gen_dictionary,
+    gen_tensor_instance,
+    perturb_init,
+)
 from sparsecp.tensor_core import (
     extract_nonzero_columns,
     independent_column_indices,
@@ -139,8 +146,9 @@ def test_independent_only_sampling_runs():
 # file sources ------------------------------------------------------------
 
 
-def planted_tensors(cfg, count, seed=11):
-    A = gen_dictionary(cfg.n, cfg.m, seed)
+def planted_tensors(cfg, count, seed=11, A=None):
+    if A is None:
+        A = gen_dictionary(cfg.n, cfg.m, seed)
     out = []
     for t in range(count):
         Z, _ = gen_tensor_instance(
@@ -178,11 +186,43 @@ def test_file_mode_reports_movement():
 
 
 def test_file_batch_converges_on_movement():
-    cfg = cfg_small(T_max=400, eps_T=1e-10, eta_A=8.0, mode=RunMode.BATCH)
-    res = run_online(cfg, source=FileSource(cfg, planted_tensors(cfg, 1)))
+    cfg = cfg_small(T_max=400, eps_T=1e-10, eta_A=4.0, mode=RunMode.BATCH)
+    # plant the file near the dictionary the file source starts from, so
+    # the codes are non-zero and the movement stop has to be earned
+    start = FileSource(cfg, [np.zeros((cfg.n, cfg.J, cfg.K))]).initial_dictionary()
+    tensors = planted_tensors(cfg, 1, A=perturb_init(start, 0.1, 11))
+    res = run_online(cfg, source=FileSource(cfg, tensors))
     assert res.converged
     assert res.stop_reason == "converged"
+    assert res.iterations > 1
     assert res.records[-1].err_A_max <= 1e-10
+    assert res.records[-1].data_fit <= 1e-8
+
+
+def test_file_zero_codes_do_not_converge():
+    # every fiber is far below the code threshold, so every code is zero,
+    # the gradient is zero and the dictionary does not move
+    cfg = cfg_small(m=5, eta_A=1.0)
+    flat = np.full((cfg.n, cfg.J, cfg.K), 0.001)
+    res = run_online(cfg, source=FileSource(cfg, [flat] * 3))
+    assert not res.converged
+    assert res.stop_reason == "source_exhausted"
+    assert res.iterations == 3
+    assert all(r.err_A_max <= 1e-12 for r in res.records)
+
+
+class SlowSource(SyntheticSource):
+    def instance(self, t):
+        time.sleep(0.002)
+        return super().instance(t)
+
+
+def test_run_wall_time_counts_unlogged_iterations():
+    cfg = cfg_small(T_max=12, log_every=5)
+    res = run_online(cfg, source=SlowSource(cfg))
+    assert len(res.records) == 4
+    # the 8 unlogged iterations each slept 2 ms on top of the logged time
+    assert res.wall_ms >= sum(r.wall_ms for r in res.records) + 8 * 2.0
 
 
 # config resolution -------------------------------------------------------

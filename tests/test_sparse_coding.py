@@ -11,7 +11,7 @@ from sparsecp.sparse_coding import (
     init_code,
 )
 
-from oracles import scalar_iht
+from oracles import residual_iht, scalar_iht
 
 
 # hard_threshold ----------------------------------------------------------
@@ -95,6 +95,20 @@ def test_iht_matches_scalar_recursion_exactly():
     assert np.array_equal(out, want)
 
 
+def test_iht_gram_form_matches_residual_form():
+    # G = A^T A and A^T Y reorder the arithmetic; results agree to rounding
+    rng = np.random.default_rng(12)
+    A = rng.standard_normal((30, 10))
+    A /= np.linalg.norm(A, axis=0)
+    Xstar = np.where(rng.random((10, 40)) < 0.2, rng.choice([-1.0, 1.0], (10, 40)), 0.0)
+    Y = A @ Xstar
+    X0 = init_code(A, Y)
+    out = iht(A, Y, X0, IhtParams(eta_x=0.2, tau=0.1))
+    want = np.column_stack([residual_iht(A, Y[:, c], X0[:, c], 0.2, 0.1, 124) for c in range(40)])
+    assert np.array_equal(np.sign(out), np.sign(want))
+    assert np.max(np.abs(out - want)) <= 1e-12
+
+
 def test_iht_geometric_decay_on_fixed_support():
     # orthonormal A and tau below every magnitude: error contracts by
     # exactly (1 - eta) per step on the support
@@ -129,6 +143,10 @@ def test_iht_divergence_reports_step_and_column():
         iht(A, np.array([[1.0]]), np.array([[5.0]]), IhtParams(eta_x=0.2, tau=0.1, R=500))
     assert err.value.column == 0
     assert err.value.step > 0
+    # a settled first column does not hide the diverging second one
+    with pytest.raises(IhtDivergenceError) as err:
+        iht(A, np.array([[0.0, 1.0]]), np.array([[0.0, 5.0]]), IhtParams(eta_x=0.2, tau=0.1, R=500))
+    assert err.value.column == 1
 
 
 def test_iht_workers_bitwise_identical():
