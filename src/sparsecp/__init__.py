@@ -16,7 +16,6 @@ from .dict_update import (
 )
 from .linalg import (
     CollapsedColumnError,
-    PowerIterationError,
     Rank1Svd,
     column_norms,
     normalize_columns,
@@ -89,7 +88,6 @@ __all__ = [
     "GroundTruth",
     "IhtParams",
     "IterationRecord",
-    "PowerIterationError",
     "Rank1Svd",
     "RunMode",
     "RunResult",

@@ -87,9 +87,7 @@ def _cmd_untangle(args) -> int:
     S = read_matrix_csv(args.matrix)
     J = int(args.J)
     K = int(args.K)
-    unf = untangle_krp(
-        S, J, K, svd_tol=float(args.svd_tol), workers=int(args.workers)
-    )
+    unf = untangle_krp(S, J, K)
     os.makedirs(args.out, exist_ok=True)
     write_matrix_csv(os.path.join(args.out, "B.csv"), unf.B)
     write_matrix_csv(os.path.join(args.out, "C.csv"), unf.C)
@@ -147,8 +145,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("matrix", help="matrix CSV with J*K columns")
     p.add_argument("--J", required=True, help="first paired dimension")
     p.add_argument("--K", required=True, help="second paired dimension")
-    p.add_argument("--svd_tol", default="1e-12")
-    p.add_argument("--workers", default="1", help="accepted; has no effect")
     p.add_argument("--out", default="sparsecp_out", help="output directory")
     p.set_defaults(func=_cmd_untangle)
 

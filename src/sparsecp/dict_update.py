@@ -1,7 +1,6 @@
 """Dictionary update stage: empirical gradient, descent step, renormalization.
 
-The gradient is one product over all selected sample columns. The
-`workers` argument is accepted for compatibility and has no effect.
+The gradient is one product over all selected sample columns.
 """
 
 from __future__ import annotations
@@ -48,12 +47,11 @@ class DictStepParams:
             raise ValueError(f"eta_A must be > 0, got {self.eta_A}")
 
 
-def gradient(A, Xsel, Ysel, workers: int = 1) -> np.ndarray:
+def gradient(A, Xsel, Ysel) -> np.ndarray:
     """Return (1/p') (A Xsel - Ysel) sign(Xsel)^T with sign(0) = 0.
 
     Xsel/Ysel are the columns already selected per sample_mode; p' = 0 is
     an error, the caller skips the update for that iteration instead.
-    workers has no effect.
     """
     A = as_matrix(A)
     Xsel = as_matrix(Xsel)

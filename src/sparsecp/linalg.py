@@ -1,5 +1,9 @@
 """Dense float64 matrix kernel: validation, products, norms, rank-1 SVD.
 
+The rank-1 SVD is LAPACK's, run on the block of non-zero rows and
+columns, with a fixed sign convention so results do not depend on the
+routine.
+
 Matrices are plain numpy arrays of shape (rows, cols) in float64, held
 column-major (Fortran order) because every hot loop in the package walks
 columns: fibers, code columns, dictionary atoms. Arrays are treated as
@@ -8,14 +12,12 @@ immutable once built; every operation returns a fresh array.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 __all__ = [
     "CollapsedColumnError",
-    "PowerIterationError",
     "Rank1Svd",
     "as_matrix",
     "matmul",
@@ -28,9 +30,6 @@ __all__ = [
 # Columns with norm below this are treated as collapsed atoms.
 COLUMN_NORM_FLOOR = 1e-300
 
-DEFAULT_SVD_TOL = 1e-12
-DEFAULT_SVD_MAX_ITER = 10_000
-
 
 class CollapsedColumnError(ValueError):
     """A column that must be normalizable has (near-)zero norm."""
@@ -42,18 +41,6 @@ class CollapsedColumnError(ValueError):
         super().__init__(
             f"Column {index}{where} has norm {norm:.3e} < {COLUMN_NORM_FLOOR:.0e}; "
             "cannot normalize a collapsed column"
-        )
-
-
-class PowerIterationError(RuntimeError):
-    """Power iteration failed to reach the residual tolerance."""
-
-    def __init__(self, iterations: int, residual: float, tol: float):
-        self.iterations = iterations
-        self.residual = residual
-        super().__init__(
-            f"Power iteration did not converge in {iterations} iterations: "
-            f"residual {residual:.3e} > tol {tol:.3e}"
         )
 
 
@@ -108,92 +95,41 @@ class Rank1Svd:
 
 
 def _fix_sign(u: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    # Convention: the largest-magnitude entry of u1 is nonnegative,
-    # ties broken by lowest index (argmax returns the first maximum).
-    idx = int(np.argmax(np.abs(u)))
+    # Convention: the largest-magnitude entry of u1 is nonnegative, ties
+    # broken by lowest index. Entries within a relative 1e-9 of max|u1|
+    # count as tied, so rounding in the SVD cannot pick the index.
+    a = np.abs(u)
+    idx = int(np.argmax(a >= (1.0 - 1e-9) * a.max()))
     if u[idx] < 0.0:
         return -u, -v
     return u, v
 
 
-def rank1_svd(
-    m,
-    tol: float = DEFAULT_SVD_TOL,
-    max_iter: int = DEFAULT_SVD_MAX_ITER,
-) -> Rank1Svd:
-    """Return the principal singular triple of m by alternating power iteration.
+def rank1_svd(m) -> Rank1Svd:
+    """Return the principal singular triple of m by a LAPACK SVD.
 
-    Start vector: v0 is the normalized vector of column l2 norms (the row
-    norms of m^T). If an iterate m @ v cancels to rounding noise (the
-    start can be orthogonal to v1 for sign-mixed rank-1 inputs, exactly
-    or to within a few ulps), the start falls back to basis vectors of
-    nonzero columns in index order. An all-zero matrix returns sigma1 = 0
-    with u1 = e1, v1 = e1 by convention. Converged when
-    ||m v - sigma u|| <= tol * max(1, sigma); the companion residual
-    ||m^T u - sigma v|| is zero by construction of the final v update.
+    The SVD runs on the block of non-zero rows and columns only, so u1
+    and v1 are exactly zero outside it and the cost follows the support,
+    not the full shape. An all-zero matrix returns sigma1 = 0 with
+    u1 = e1, v1 = e1 by convention.
     """
     M = as_matrix(m)
-    if tol <= 0.0:
-        raise ValueError(f"tol must be > 0, got {tol}")
-    if max_iter < 1:
-        raise ValueError(f"max_iter must be >= 1, got {max_iter}")
     p, q = M.shape
-
-    col = column_norms(M)
-    total = float(np.linalg.norm(col))
-    if total == 0.0:
-        u = np.zeros(p)
-        v = np.zeros(q)
+    rows = np.flatnonzero(M.any(axis=1))
+    u = np.zeros(p)
+    v = np.zeros(q)
+    if rows.size == 0:
         u[0] = 1.0
         v[0] = 1.0
         return Rank1Svd(0.0, u, v)
-
-    v = col / total
-    fallback = list(np.flatnonzero(col > 0.0))
-    # Anything this far below ||M||_F is cancellation, not signal:
-    # sigma1 >= total / sqrt(q) sits many orders above it.
-    floor = 1e-13 * total
-
-    def restart() -> np.ndarray | None:
-        if not fallback:
-            return None
-        e = np.zeros(q)
-        e[fallback.pop(0)] = 1.0
-        return e
-
-    sigma = 0.0
-    residual = math.inf
-    for _ in range(max_iter):
-        w = M @ v
-        nw = float(np.linalg.norm(w))
-        if nw <= floor:
-            nxt = restart()
-            if nxt is None:
-                raise PowerIterationError(max_iter, residual, tol)
-            v = nxt
-            continue
-        u = w / nw
-        z = M.T @ u
-        nz = float(np.linalg.norm(z))
-        if nz <= floor:
-            nxt = restart()
-            if nxt is None:
-                raise PowerIterationError(max_iter, residual, tol)
-            v = nxt
-            continue
-        v = z / nz
-        sigma = nz
-        residual = float(np.linalg.norm(M @ v - sigma * u))
-        if residual <= tol * max(1.0, sigma):
-            u, v = _fix_sign(u, v)
-            return Rank1Svd(sigma, u, v)
-    raise PowerIterationError(max_iter, residual, tol * max(1.0, sigma))
+    cols = np.flatnonzero(M[rows].any(axis=0))
+    U, s, Vt = np.linalg.svd(M[np.ix_(rows, cols)], full_matrices=False)
+    u[rows] = U[:, 0]
+    v[cols] = Vt[0]
+    u, v = _fix_sign(u, v)
+    return Rank1Svd(float(s[0]), u, v)
 
 
-def spectral_norm(
-    m,
-    tol: float = DEFAULT_SVD_TOL,
-    max_iter: int = DEFAULT_SVD_MAX_ITER,
-) -> float:
-    """Return sigma1(m) via the rank-1 power iteration."""
-    return rank1_svd(m, tol=tol, max_iter=max_iter).sigma1
+def spectral_norm(m) -> float:
+    """Return sigma1(m), the largest singular value."""
+    return rank1_svd(m).sigma1

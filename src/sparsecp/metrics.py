@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import DEFAULT_SVD_MAX_ITER, DEFAULT_SVD_TOL, as_matrix, column_norms, spectral_norm
+from .linalg import as_matrix, column_norms, spectral_norm
 
 __all__ = [
     "Alignment",
@@ -190,14 +190,7 @@ def incoherence(A) -> float:
     return float(np.sqrt(n) * G.max())
 
 
-def closeness_check(
-    A,
-    A_ref,
-    eps: float,
-    kappa: float,
-    tol: float = DEFAULT_SVD_TOL,
-    max_iter: int = DEFAULT_SVD_MAX_ITER,
-) -> bool:
+def closeness_check(A, A_ref, eps: float, kappa: float) -> bool:
     """Return True iff, after alignment, every column error is <= eps and
     ||A_aligned - A_ref||_2 <= kappa * ||A_ref||_2."""
     A = as_matrix(A)
@@ -207,9 +200,7 @@ def closeness_check(
     if errs.max_err > eps:
         return False
     diff = align_columns(A, align) - A_ref
-    return spectral_norm(diff, tol=tol, max_iter=max_iter) <= kappa * spectral_norm(
-        A_ref, tol=tol, max_iter=max_iter
-    )
+    return spectral_norm(diff) <= kappa * spectral_norm(A_ref)
 
 
 def data_fit(Y, A, X) -> float:

@@ -116,7 +116,6 @@ class SolverConfig:
     eps_T: float = 1e-8
     zero_tol: float = 0.0
     sample_mode: SampleMode = SampleMode.ALL_NONZERO
-    svd_tol: float = 1e-12
     seed: int = 42
     mode: RunMode = RunMode.ONLINE
     log_every: int = 1
@@ -134,8 +133,6 @@ class SolverConfig:
             raise ValueError(f"eps_T must be > 0, got {self.eps_T}")
         if self.zero_tol < 0.0:
             raise ValueError(f"zero_tol must be >= 0, got {self.zero_tol}")
-        if self.svd_tol <= 0.0:
-            raise ValueError(f"svd_tol must be > 0, got {self.svd_tol}")
         if self.log_every < 1:
             raise ValueError(f"log_every must be >= 1, got {self.log_every}")
         if self.workers < 1:
@@ -191,7 +188,6 @@ class SolverConfig:
             "eps_T": float,
             "zero_tol": float,
             "sample_mode": SampleMode.parse,
-            "svd_tol": float,
             "seed": int,
             "mode": RunMode.parse,
             "log_every": int,
@@ -393,12 +389,16 @@ def run_online(cfg: SolverConfig, source: TensorSource | None = None) -> RunResu
     stop_reason = "max_iterations"
     converged = False
     iterations = 0
+    record = None
 
     for t in range(cfg.T_max):
         tick = time.perf_counter()
         inst = source.instance(t)
         if inst is None:
             stop_reason = "source_exhausted"
+            # the previous iteration was the last: log it if log_every skipped it
+            if record is not None and records[-1] is not record:
+                records.append(record)
             break
         Z, gt = inst
         iterations = t + 1
@@ -411,11 +411,11 @@ def run_online(cfg: SolverConfig, source: TensorSource | None = None) -> RunResu
 
         if p > 0:
             X0 = init_code(A, Y, cfg.C_lb)
-            Xh = iht(A, Y, X0, ihtp, workers=cfg.workers)
+            Xh = iht(A, Y, X0, ihtp)
         else:
             Xh = np.zeros((m, 0), order="F")
         Sh = scatter_columns(Xh, cmap)
-        unf = untangle_krp(Sh, J, K, svd_tol=cfg.svd_tol, workers=cfg.workers)
+        unf = untangle_krp(Sh, J, K)
 
         if cfg.sample_mode is SampleMode.INDEPENDENT_ONLY:
             sel = indep_pos
@@ -424,7 +424,7 @@ def run_online(cfg: SolverConfig, source: TensorSource | None = None) -> RunResu
         g = None
         if sel.size > 0:
             try:
-                g = gradient(A, Xh[:, sel], Y[:, sel], workers=cfg.workers)
+                g = gradient(A, Xh[:, sel], Y[:, sel])
                 A_new = step_and_normalize(A, g, eta_A)
             except ValueError as exc:
                 raise RuntimeError(f"Dictionary update failed at iteration {t}: {exc}") from exc

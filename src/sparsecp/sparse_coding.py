@@ -2,7 +2,6 @@
 
 IHT runs in Gram form over all columns at once: G = A^T A and A^T Y are
 formed once per call, so each step costs m^2 p flops instead of 2 n m p.
-The `workers` argument is accepted for compatibility and has no effect.
 """
 
 from __future__ import annotations
@@ -128,11 +127,11 @@ def init_code(A, Y, C_lb: float = 1.0) -> np.ndarray:
     return np.asfortranarray(hard_threshold(A.T @ Y, C_lb / 2.0))
 
 
-def iht(A, Y, X0, params: IhtParams, workers: int = 1) -> np.ndarray:
+def iht(A, Y, X0, params: IhtParams) -> np.ndarray:
     """Return X^(R) after R hard-thresholded gradient steps per column.
 
     X^(r+1) = T_tau(X^(r) - eta_x * (G X^(r) - A^T Y)) with G = A^T A,
-    columns independent. R = 0 returns X0 unchanged. workers has no effect.
+    columns independent. R = 0 returns X0 unchanged.
     """
     A = as_matrix(A)
     Y = as_matrix(Y)

@@ -2,7 +2,7 @@
 
 Nothing here may import from sparsecp internals beyond plain numpy/scipy:
 these exist so the production kernels are checked against algorithms that
-share no code with them (two-sided Jacobi SVD vs power iteration, the
+share no code with them (one-sided Jacobi SVD vs LAPACK, the
 Hungarian assignment vs greedy matching, triple loops vs einsum).
 """
 

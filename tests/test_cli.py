@@ -78,17 +78,23 @@ def write_tnsr(path, Z):
     path.write_text("\n".join(tnsr_lines(Z)) + "\n", encoding="utf-8")
 
 
-def test_decompose_runs_on_files(tmp_path, capsys):
+def write_planted_files(tmp_path, count, seed):
     n, J, K, m = 30, 12, 12, 4
     A = gen_dictionary(n, m, 2)
     paths = []
-    for t in range(3):
+    for t in range(count):
         Z, _ = gen_tensor_instance(
-            n, J, K, m, SparsityParams(0.15, 0.15), Distribution.RADEMACHER, 1.0, A, 50 + t
+            n, J, K, m, SparsityParams(0.15, 0.15), Distribution.RADEMACHER, 1.0, A, seed + t
         )
         p = tmp_path / f"z{t}.tnsr"
         write_tnsr(p, Z)
         paths.append(str(p))
+    return paths
+
+
+def test_decompose_runs_on_files(tmp_path, capsys):
+    n, m = 30, 4
+    paths = write_planted_files(tmp_path, 3, 50)
     out = tmp_path / "dec"
     code = main(
         ["decompose", *paths, "--m", "4", "--eta_A", "4.0", "--eps_T", "1e-300",
@@ -134,6 +140,21 @@ def test_decompose_all_zero_files_stop(tmp_path, capsys):
     msg = capsys.readouterr().out
     assert msg.startswith("stopped t=1 ")
     assert "stop_reason=source_exhausted" in msg
+
+
+def test_decompose_logs_last_iteration_when_files_run_out(tmp_path, capsys):
+    paths = write_planted_files(tmp_path, 4, 70)
+    out = tmp_path / "dec"
+    code = main(
+        ["decompose", *paths, "--m", "4", "--eta_A", "4.0", "--eps_T", "1e-300",
+         "--log_every", "5", "--out", str(out)]
+    )
+    assert code == 2
+    msg = capsys.readouterr().out
+    assert msg.startswith("stopped t=3 ")
+    assert "stop_reason=source_exhausted" in msg
+    lines = (out / "metrics.csv").read_text().splitlines()
+    assert [line.split(",")[0] for line in lines[1:]] == ["0", "3"]
 
 
 def test_decompose_scale_max(tmp_path, capsys):

@@ -48,14 +48,6 @@ def test_gradient_rejects_empty_selection():
         gradient(np.ones((2, 2)), np.zeros((2, 0)), np.zeros((2, 0)))
 
 
-def test_gradient_workers_bitwise_identical():
-    rng = np.random.default_rng(2)
-    A = rng.standard_normal((4, 3))
-    X = rng.standard_normal((3, 2500))
-    Y = rng.standard_normal((4, 2500))
-    assert np.array_equal(gradient(A, X, Y, workers=1), gradient(A, X, Y, workers=3))
-
-
 def test_step_zero_gradient_keeps_unit_dictionary():
     rng = np.random.default_rng(3)
     A = rng.standard_normal((6, 4))

@@ -4,7 +4,6 @@ from hypothesis import given, settings, strategies as st
 
 from sparsecp.linalg import (
     CollapsedColumnError,
-    PowerIterationError,
     as_matrix,
     column_norms,
     matmul,
@@ -55,6 +54,11 @@ def test_rank1_svd_outer_product():
     assert out.sigma1 == pytest.approx(np.sqrt(13.0), rel=1e-12)
     assert np.allclose(out.u1, [1.0, 0.0], atol=1e-10)
     assert np.allclose(out.v1, np.array([2.0, 3.0]) / np.sqrt(13.0), atol=1e-10)
+    # equal column norms and sign-mixed entries; |u1| ties, lowest index wins
+    out = rank1_svd(np.array([[1.0, -1.0], [-1.0, 1.0]]))
+    assert out.sigma1 == pytest.approx(2.0, rel=1e-10)
+    assert np.allclose(out.u1, np.array([1.0, -1.0]) / np.sqrt(2.0), atol=1e-12)
+    assert np.allclose(out.v1, np.array([1.0, -1.0]) / np.sqrt(2.0), atol=1e-12)
 
 
 def test_rank1_svd_zero_matrix_convention():
@@ -71,13 +75,30 @@ def test_rank1_svd_sign_convention():
     assert np.allclose(out.v1, -np.array([2.0, 3.0]) / np.sqrt(13.0), atol=1e-10)
 
 
-def test_rank1_svd_start_vector_fallback():
-    # column norms are equal, so the seeded start is orthogonal to the top
-    # right singular vector and the first iterate collapses; the basis
-    # fallback must still reach sigma = 2
-    M = np.array([[1.0, -1.0], [-1.0, 1.0]])
-    out = rank1_svd(M)
-    assert out.sigma1 == pytest.approx(2.0, rel=1e-10)
+def test_rank1_svd_sign_tie_goes_to_lowest_index():
+    # every |u1| entry of a +-1 outer product is tied, so u1[0] must be
+    # positive whatever rounding the SVD leaves in the magnitudes
+    rng = np.random.default_rng(4)
+    for _ in range(2000):
+        p, q = rng.integers(2, 7, size=2)
+        M = np.outer(rng.choice([-1.0, 1.0], p), rng.choice([-1.0, 1.0], q))
+        assert rank1_svd(M).u1[0] > 0.0
+
+
+def test_rank1_svd_zero_rows_and_columns_stay_zero():
+    rng = np.random.default_rng(8)
+    for _ in range(20):
+        M = rng.standard_normal((7, 6))
+        dead_rows = rng.random(7) < 0.4
+        dead_cols = rng.random(6) < 0.4
+        dead_rows[rng.integers(7)] = False
+        dead_cols[rng.integers(6)] = False
+        M[dead_rows, :] = 0.0
+        M[:, dead_cols] = 0.0
+        out = rank1_svd(M)
+        assert out.sigma1 == pytest.approx(jacobi_sigma1(M), rel=1e-10)
+        assert not out.u1[dead_rows].any()
+        assert not out.v1[dead_cols].any()
 
 
 def test_rank1_svd_residual_contract():
@@ -108,13 +129,6 @@ def test_rank1_svd_recovers_planted_rank1(p, q, log_sigma, seed):
     assert out.sigma1 == pytest.approx(sigma, rel=1e-10)
     assert min(np.linalg.norm(out.u1 - u), np.linalg.norm(out.u1 + u)) <= 1e-8
     assert min(np.linalg.norm(out.v1 - v), np.linalg.norm(out.v1 + v)) <= 1e-8
-
-
-def test_rank1_svd_rejects_bad_args():
-    with pytest.raises(ValueError):
-        rank1_svd(np.ones((2, 2)), tol=0.0)
-    with pytest.raises(ValueError):
-        rank1_svd(np.ones((2, 2)), max_iter=0)
 
 
 # spectral_norm -----------------------------------------------------------
@@ -183,7 +197,3 @@ def test_as_matrix_rejects_non_finite():
 def test_as_matrix_checks_declared_shape():
     with pytest.raises(ValueError):
         as_matrix(np.ones((2, 3)), rows=3)
-
-
-def test_power_iteration_error_is_exception_type():
-    assert issubclass(PowerIterationError, RuntimeError)

@@ -149,15 +149,6 @@ def test_iht_divergence_reports_step_and_column():
     assert err.value.column == 1
 
 
-def test_iht_workers_bitwise_identical():
-    rng = np.random.default_rng(10)
-    A = rng.standard_normal((3, 2)) / np.sqrt(3)
-    Y = rng.standard_normal((3, 1500))
-    X0 = rng.standard_normal((2, 1500))
-    params = IhtParams(eta_x=0.2, tau=0.05, R=12)
-    assert np.array_equal(iht(A, Y, X0, params, workers=1), iht(A, Y, X0, params, workers=3))
-
-
 def test_iht_shape_error():
     with pytest.raises(ValueError):
         iht(np.ones((3, 2)), np.ones((3, 4)), np.ones((2, 5)), IhtParams())
