@@ -54,11 +54,6 @@ def test_rank1_svd_outer_product():
     assert out.sigma1 == pytest.approx(np.sqrt(13.0), rel=1e-12)
     assert np.allclose(out.u1, [1.0, 0.0], atol=1e-10)
     assert np.allclose(out.v1, np.array([2.0, 3.0]) / np.sqrt(13.0), atol=1e-10)
-    # equal column norms and sign-mixed entries; |u1| ties, lowest index wins
-    out = rank1_svd(np.array([[1.0, -1.0], [-1.0, 1.0]]))
-    assert out.sigma1 == pytest.approx(2.0, rel=1e-10)
-    assert np.allclose(out.u1, np.array([1.0, -1.0]) / np.sqrt(2.0), atol=1e-12)
-    assert np.allclose(out.v1, np.array([1.0, -1.0]) / np.sqrt(2.0), atol=1e-12)
 
 
 def test_rank1_svd_zero_matrix_convention():
@@ -73,6 +68,17 @@ def test_rank1_svd_sign_convention():
     out = rank1_svd(np.outer([-1.0, 0.0], [2.0, 3.0]))
     assert out.u1[0] > 0
     assert np.allclose(out.v1, -np.array([2.0, 3.0]) / np.sqrt(13.0), atol=1e-10)
+
+
+def test_rank1_svd_start_vector_fallback():
+    # equal column norms and sign-mixed entries: a start vector built from
+    # the column norms is orthogonal to the top right singular vector, and
+    # |u1| ties, so the lowest index takes the positive sign
+    M = np.array([[1.0, -1.0], [-1.0, 1.0]])
+    out = rank1_svd(M)
+    assert out.sigma1 == pytest.approx(2.0, rel=1e-10)
+    assert np.allclose(out.u1, np.array([1.0, -1.0]) / np.sqrt(2.0), atol=1e-12)
+    assert np.allclose(out.v1, np.array([1.0, -1.0]) / np.sqrt(2.0), atol=1e-12)
 
 
 def test_rank1_svd_sign_tie_goes_to_lowest_index():
