@@ -1,14 +1,14 @@
 """Online sparse CP decomposition.
 
-The pipeline per incoming tensor: unfold along mode 1, drop all-zero
-columns, recover the sparse codes by hard-thresholded gradient steps,
-split each code row into its two paired factors via rank-1 SVD, then
-take one approximate-gradient step on the dictionary. `run_online`
+Each incoming tensor is a FiberSample, its non-zero mode-1 fibers and
+their indices. The pipeline per sample: recover the fibers' sparse codes
+by hard-thresholded gradient steps, split each code row into its two
+paired factors via a rank-1 SVD of its non-zero block, then take one
+approximate-gradient step on the dictionary. `run_online`
 drives the whole loop; the submodules expose every stage separately.
 """
 
 from .dict_update import (
-    DictStepParams,
     SampleMode,
     descent_correlation,
     gradient,
@@ -58,7 +58,9 @@ from .synth import (
 )
 from .tensor_core import (
     ColumnIndexMap,
+    FiberSample,
     cp_compose,
+    cp_fibers,
     extract_nonzero_columns,
     independent_column_indices,
     khatri_rao_transpose,
@@ -73,7 +75,7 @@ from .tensorio import (
     read_matrix_csv,
     write_matrix_csv,
 )
-from .untangle import UntangledFactors, untangle_krp
+from .untangle import UntangledFactors, untangle_codes, untangle_krp
 
 __version__ = "0.1.0"
 
@@ -82,8 +84,8 @@ __all__ = [
     "CollapsedColumnError",
     "ColumnErrors",
     "ColumnIndexMap",
-    "DictStepParams",
     "Distribution",
+    "FiberSample",
     "FileSource",
     "GroundTruth",
     "IhtParams",
@@ -103,6 +105,7 @@ __all__ = [
     "column_errors",
     "column_norms",
     "cp_compose",
+    "cp_fibers",
     "data_fit",
     "descent_correlation",
     "emit_outputs",
@@ -133,6 +136,7 @@ __all__ = [
     "signed_support_equal",
     "spectral_norm",
     "step_and_normalize",
+    "untangle_codes",
     "untangle_krp",
     "write_matrix_csv",
     "__version__",

@@ -9,7 +9,7 @@ Subcommands:
 Every SolverConfig field is exposed as a --flag of the same name; --config
 loads a key=value file first and flags override it. Exit codes: 0 when the
 run converged, 2 when it stopped at T_max (or ran out of input tensors)
-without converging, 1 on any error.
+without converging, 1 on any error, usage errors included.
 """
 
 from __future__ import annotations
@@ -33,6 +33,14 @@ from .tensorio import (
 from .untangle import untangle_krp
 
 __all__ = ["main"]
+
+
+class _Parser(argparse.ArgumentParser):
+    """argparse exits 2 on a usage error; here 2 means a run did not converge."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(1, f"{self.prog}: error: {message}\n")
 
 
 def _add_config_flags(sub: argparse.ArgumentParser) -> None:
@@ -111,7 +119,7 @@ def _cmd_eval(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="sparsecp",
         description="Online sparse CP decomposition with paired-factor untangling",
     )

@@ -6,13 +6,12 @@ The gradient is one product over all selected sample columns.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 
 import numpy as np
 
 from .linalg import as_matrix, normalize_columns
 
-__all__ = ["SampleMode", "DictStepParams", "gradient", "step_and_normalize", "descent_correlation"]
+__all__ = ["SampleMode", "gradient", "step_and_normalize", "descent_correlation"]
 
 
 class SampleMode(enum.Enum):
@@ -35,16 +34,6 @@ class SampleMode(enum.Enum):
                 f"Unknown sample_mode {text!r}; expected all_nonzero or independent_only"
             )
         return aliases[key]
-
-
-@dataclass(frozen=True)
-class DictStepParams:
-    eta_A: float
-    sample_mode: SampleMode = SampleMode.ALL_NONZERO
-
-    def __post_init__(self):
-        if self.eta_A <= 0.0:
-            raise ValueError(f"eta_A must be > 0, got {self.eta_A}")
 
 
 def gradient(A, Xsel, Ysel) -> np.ndarray:

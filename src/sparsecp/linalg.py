@@ -1,4 +1,4 @@
-"""Dense float64 matrix kernel: validation, products, norms, rank-1 SVD.
+"""Dense float64 matrix kernel: validation, norms, rank-1 SVD.
 
 The rank-1 SVD is LAPACK's, run on the block of non-zero rows and
 columns, with a fixed sign convention so results do not depend on the
@@ -20,7 +20,6 @@ __all__ = [
     "CollapsedColumnError",
     "Rank1Svd",
     "as_matrix",
-    "matmul",
     "column_norms",
     "normalize_columns",
     "rank1_svd",
@@ -56,18 +55,6 @@ def as_matrix(values, rows: int | None = None, cols: int | None = None) -> np.nd
     if not np.all(np.isfinite(a)):
         raise ValueError("Matrix contains non-finite values")
     return a
-
-
-def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Return the dense product a @ b, checking shapes and finiteness."""
-    ra, ca = a.shape
-    rb, cb = b.shape
-    if ca != rb:
-        raise ValueError(f"Incompatible shapes for matmul: ({ra},{ca}) @ ({rb},{cb})")
-    out = a @ b
-    if not np.all(np.isfinite(out)):
-        raise ValueError("matmul produced non-finite values (overflow)")
-    return out
 
 
 def column_norms(a: np.ndarray) -> np.ndarray:

@@ -1,7 +1,9 @@
 """Online decomposition driver: config, per-iteration pipeline, stop rules.
 
-Each iteration runs unfold -> extract -> sparse coding -> scatter ->
-untangle -> gradient -> dictionary step, then logs an IterationRecord.
+Each sample is a FiberSample; each iteration drops its fibers at or
+below zero_tol, runs sparse coding -> untangle -> gradient -> dictionary
+step on the p fibers left (no n x J x K or m x JK array is built), then
+logs an IterationRecord.
 With ground truth (synthetic sources) the record carries aligned errors
 and the run stops once the max aligned column error reaches eps_T; file
 sources have no ground truth, so the error fields hold the dictionary
@@ -37,17 +39,23 @@ from .synth import (
     SparsityParams,
     child_seed,
     gen_dictionary,
-    gen_tensor_instance,
+    gen_factor_pair,
     perturb_init,
 )
 from .tensor_core import (
+    ColumnIndexMap,
+    FiberSample,
+    cp_fibers,
     extract_nonzero_columns,
     independent_column_indices,
-    khatri_rao_transpose,
-    mode1_unfold,
-    scatter_columns,
+    khatri_rao_columns,
 )
-from .untangle import untangle_krp
+from .untangle import untangle_codes
+
+# Not called here: the benchmark's tracer wraps these runner attributes by name.
+from .synth import gen_tensor_instance  # noqa: F401
+from .tensor_core import khatri_rao_transpose, mode1_unfold, scatter_columns  # noqa: F401
+from .untangle import untangle_krp  # noqa: F401
 
 import enum
 
@@ -278,7 +286,7 @@ class RunResult:
 class TensorSource(Protocol):
     def initial_dictionary(self) -> np.ndarray: ...
 
-    def instance(self, t: int) -> tuple[np.ndarray, GroundTruth | None] | None: ...
+    def instance(self, t: int) -> tuple[FiberSample, GroundTruth | None] | None: ...
 
 
 class SyntheticSource:
@@ -308,36 +316,32 @@ class SyntheticSource:
 
     def _draw(self, t: int):
         cfg = self._cfg
-        return gen_tensor_instance(
-            cfg.n,
-            cfg.J,
-            cfg.K,
-            cfg.m,
-            cfg.sparsity(),
-            cfg.dist,
-            cfg.C_lb,
-            self.A_star,
+        B, C = gen_factor_pair(
+            cfg.J, cfg.K, cfg.m, cfg.sparsity(), cfg.dist, cfg.C_lb,
             child_seed(self._root, 2, t),
         )
+        return cp_fibers(self.A_star, B, C), GroundTruth(self.A_star, B, C)
 
 
 class FileSource:
-    """Feeds pre-loaded tensors in order; exhaustion ends the run.
+    """Feeds pre-loaded FiberSamples in order; exhaustion ends the run.
 
-    Batch mode reuses the first tensor for every iteration. The initial
+    Batch mode reuses the first sample for every iteration. The initial
     dictionary is random unit columns under the run seed.
     """
 
-    def __init__(self, cfg: SolverConfig, tensors: Iterable[np.ndarray]):
+    def __init__(self, cfg: SolverConfig, tensors: Iterable[FiberSample]):
         self._cfg = cfg
-        self._tensors = [np.asarray(Z, dtype=np.float64) for Z in tensors]
+        self._tensors = list(tensors)
         if not self._tensors:
             raise ValueError("FileSource needs at least one tensor")
         want = (cfg.n, cfg.J, cfg.K)
-        for idx, Z in enumerate(self._tensors):
-            if Z.shape != want:
+        for idx, sample in enumerate(self._tensors):
+            if not isinstance(sample, FiberSample):
+                raise TypeError(f"Tensor {idx} is a {type(sample).__name__}, not a FiberSample")
+            if tuple(sample.shape) != want:
                 raise ValueError(
-                    f"Tensor {idx} has shape {Z.shape}, config says {want}"
+                    f"Tensor {idx} has shape {sample.shape}, config says {want}"
                 )
 
     def initial_dictionary(self) -> np.ndarray:
@@ -400,22 +404,17 @@ def run_online(cfg: SolverConfig, source: TensorSource | None = None) -> RunResu
             if record is not None and records[-1] is not record:
                 records.append(record)
             break
-        Z, gt = inst
+        sample, gt = inst
         iterations = t + 1
 
-        Z1 = mode1_unfold(Z)
-        Y, cmap = extract_nonzero_columns(Z1, cfg.zero_tol)
+        Y, live = extract_nonzero_columns(sample.Y, cfg.zero_tol)
+        cmap = ColumnIndexMap(J * K, sample.cmap.kept[live.kept])
         p = cmap.p
         indep_pos = np.flatnonzero(np.isin(cmap.kept, indep, assume_unique=True))
         p_indep = int(indep_pos.size)
 
-        if p > 0:
-            X0 = init_code(A, Y, cfg.C_lb)
-            Xh = iht(A, Y, X0, ihtp)
-        else:
-            Xh = np.zeros((m, 0), order="F")
-        Sh = scatter_columns(Xh, cmap)
-        unf = untangle_krp(Sh, J, K)
+        Xh = iht(A, Y, init_code(A, Y, cfg.C_lb), ihtp)
+        unf = untangle_codes(Xh, cmap, J, K)
 
         if cfg.sample_mode is SampleMode.INDEPENDENT_ONLY:
             sel = indep_pos
@@ -438,8 +437,7 @@ def run_online(cfg: SolverConfig, source: TensorSource | None = None) -> RunResu
             colerrs = column_errors(A_new, gt.A, align)
             err_A_max = colerrs.max_err
             err_A_relF = rel_frobenius(align_columns(A_new, align), gt.A)
-            S_star = khatri_rao_transpose(gt.B, gt.C)
-            X_star = S_star[:, cmap.kept]
+            X_star = khatri_rao_columns(gt.B, gt.C, cmap)
             if p > 0:
                 X_al = align_rows(Xh, align)
                 err_X_relF = rel_frobenius(X_al, X_star)

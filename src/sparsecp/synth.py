@@ -27,6 +27,7 @@ __all__ = [
     "gen_dictionary",
     "gen_sparse_factor",
     "perturb_init",
+    "gen_factor_pair",
     "gen_tensor_instance",
     "subgaussian_magnitude_bound",
 ]
@@ -184,6 +185,18 @@ def perturb_init(A_star, eps0: float, rng_seed) -> np.ndarray:
     return A0
 
 
+def gen_factor_pair(
+    J: int, K: int, m: int, sp: SparsityParams, dist: Distribution, C_lb: float, rng_seed
+) -> tuple[np.ndarray, np.ndarray]:
+    """Return the sparse factors (B, C) of one instance.
+
+    B draws from the child stream (0,), C from (1,), each per-column.
+    """
+    B = gen_sparse_factor(J, m, sp.alpha, dist, C_lb, child_seed(rng_seed, 0))
+    C = gen_sparse_factor(K, m, sp.beta, dist, C_lb, child_seed(rng_seed, 1))
+    return B, C
+
+
 def gen_tensor_instance(
     n: int,
     J: int,
@@ -195,12 +208,10 @@ def gen_tensor_instance(
     A_star,
     rng_seed,
 ) -> tuple[np.ndarray, GroundTruth]:
-    """Return (tensor, ground truth) for fresh sparse factors under A_star.
+    """Return (dense tensor, ground truth) for gen_factor_pair's factors under A_star.
 
-    B draws from the child stream (0,), C from (1,), each per-column.
+    The online loop takes the same instance as tensor_core.cp_fibers(A_star, B, C).
     """
     A_star = as_matrix(A_star, rows=n, cols=m)
-    B = gen_sparse_factor(J, m, sp.alpha, dist, C_lb, child_seed(rng_seed, 0))
-    C = gen_sparse_factor(K, m, sp.beta, dist, C_lb, child_seed(rng_seed, 1))
-    Z = cp_compose(A_star, B, C)
-    return Z, GroundTruth(A_star, B, C)
+    B, C = gen_factor_pair(J, K, m, sp, dist, C_lb, rng_seed)
+    return cp_compose(A_star, B, C), GroundTruth(A_star, B, C)

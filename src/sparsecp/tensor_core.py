@@ -1,10 +1,12 @@
 """Tensor data model and structure-exploiting reshapes.
 
-A 3-way tensor is a float64 array of shape (n, J, K); mode-1 fibers are
-Z[:, j, k]. The flat column law is 0-based throughout the package:
-column l = k*J + j of the n x JK unfolding is the fiber (j, k), so each
-row of the transposed Khatri-Rao matrix consists of K blocks of length J
-and block k carries C[k, i] * B[:, i].
+A 3-way tensor of shape (n, J, K) has mode-1 fibers Z[:, j, k]. The
+flat column law is 0-based throughout the package: column l = k*J + j
+of the n x JK unfolding is the fiber (j, k), so each row of the
+transposed Khatri-Rao matrix consists of K blocks of length J and block
+k carries C[k, i] * B[:, i]. The online loop holds a sample as a
+FiberSample (O(n*p) memory); the dense cube, the unfolding and the full
+m x JK Khatri-Rao matrix are reference helpers for tests and file set-up.
 """
 
 from __future__ import annotations
@@ -17,24 +19,16 @@ from .linalg import as_matrix
 
 __all__ = [
     "ColumnIndexMap",
-    "as_tensor3",
+    "FiberSample",
     "cp_compose",
+    "cp_fibers",
     "mode1_unfold",
     "khatri_rao_transpose",
+    "khatri_rao_columns",
     "extract_nonzero_columns",
     "scatter_columns",
     "independent_column_indices",
 ]
-
-
-def as_tensor3(values) -> np.ndarray:
-    """Return values as a finite float64 array of shape (n, J, K)."""
-    z = np.asarray(values, dtype=np.float64)
-    if z.ndim != 3:
-        raise ValueError(f"Expected a 3-way tensor, got ndim={z.ndim}")
-    if not np.all(np.isfinite(z)):
-        raise ValueError("Tensor contains non-finite values")
-    return z
 
 
 @dataclass(frozen=True, eq=False)
@@ -72,6 +66,27 @@ class ColumnIndexMap:
         return j, k
 
 
+@dataclass(frozen=True, eq=False)
+class FiberSample:
+    """A tensor of shape (n, J, K) held as its listed mode-1 fibers.
+
+    Column q of the n x p matrix Y is the fiber of flat index
+    cmap.kept[q] (cmap.total_cols = J*K); every other fiber is zero.
+    """
+
+    shape: tuple[int, int, int]
+    cmap: ColumnIndexMap
+    Y: np.ndarray
+
+    def __post_init__(self):
+        n, J, K = self.shape
+        if self.cmap.total_cols != J * K or self.Y.shape != (n, self.cmap.p):
+            raise ValueError(
+                f"Sample of shape {self.shape} with {self.cmap.p} of "
+                f"{self.cmap.total_cols} fibers has values of shape {self.Y.shape}"
+            )
+
+
 def cp_compose(A, B, C) -> np.ndarray:
     """Return the tensor with value(i,j,k) = sum_r A[i,r]*B[j,r]*C[k,r]."""
     A = as_matrix(A)
@@ -87,7 +102,11 @@ def cp_compose(A, B, C) -> np.ndarray:
 
 def mode1_unfold(Z) -> np.ndarray:
     """Return the n x JK matrix whose column k*J + j is the fiber Z[:, j, k]."""
-    Z = as_tensor3(Z)
+    Z = np.asarray(Z, dtype=np.float64)
+    if Z.ndim != 3:
+        raise ValueError(f"Expected a 3-way tensor, got ndim={Z.ndim}")
+    if not np.all(np.isfinite(Z)):
+        raise ValueError("Tensor contains non-finite values")
     n = Z.shape[0]
     return np.asfortranarray(Z.reshape(n, -1, order="F"))
 
@@ -104,6 +123,29 @@ def khatri_rao_transpose(B, C) -> np.ndarray:
     # (m, K, J) stack of outer factors, flattened so block k spans J slots.
     S = C.T[:, :, None] * B.T[:, None, :]
     return S.reshape(m, -1)
+
+
+def khatri_rao_columns(B, C, cmap: ColumnIndexMap) -> np.ndarray:
+    """Return khatri_rao_transpose(B, C)[:, cmap.kept] without the other columns."""
+    j, k = cmap.block_coords(B.shape[0])
+    return (B[j] * C[k]).T
+
+
+def cp_fibers(A, B, C) -> FiberSample:
+    """Return the tensor with factors (A, B, C) as a FiberSample.
+
+    Fiber (j, k) is A (B[j] * C[k])^T, so it can be non-zero only where
+    some atom r has B[j, r] != 0 and C[k, r] != 0: kept is the union of
+    those support pairs, and nothing of size J*K is built. The factors
+    are trusted: finite float64 matrices with equal column counts.
+    """
+    J, K = B.shape[0], C.shape[0]
+    pairs = [
+        (np.flatnonzero(C[:, r])[:, None] * J + np.flatnonzero(B[:, r])).ravel()
+        for r in range(A.shape[1])
+    ]
+    cmap = ColumnIndexMap(J * K, np.unique(np.concatenate(pairs)))
+    return FiberSample((A.shape[0], J, K), cmap, A @ khatri_rao_columns(B, C, cmap))
 
 
 def extract_nonzero_columns(

@@ -1,5 +1,8 @@
 """File formats: TNSR3 tensors, matrix CSV, config files, run outputs.
 
+A TNSR3 file is read straight into a FiberSample (its non-zero mode-1
+fibers), and the decompose preprocessing acts on those fibers only.
+
 All text I/O is UTF-8. Floats are written with repr, which is the
 shortest string that round-trips to the same double, so factor files
 re-read bit-exactly and repeated runs diff clean. metrics.csv is part of
@@ -12,13 +15,14 @@ from __future__ import annotations
 
 import math
 import os
+from dataclasses import replace
 from typing import Sequence
 
 import numpy as np
 
 from .linalg import as_matrix
 from .runner import IterationRecord, RunResult, SolverConfig
-from .tensor_core import as_tensor3
+from .tensor_core import ColumnIndexMap, FiberSample
 
 __all__ = [
     "ingest_tensor",
@@ -43,101 +47,106 @@ def _strip_comment(line: str) -> str:
     return line.split("#", 1)[0].strip()
 
 
-def ingest_tensor(path) -> np.ndarray:
-    """Parse a TNSR3 file into a dense (n, J, K) array.
+def ingest_tensor(path) -> FiberSample:
+    """Parse a TNSR3 file into a FiberSample of its non-zero mode-1 fibers.
 
     Format: first significant line `TNSR3 <n> <J> <K>`, then
     `<i> <j> <k> <value>` lines with 1-based indices. `#` starts a
     comment, unlisted entries are zero, repeating a coordinate is an
-    error. All parse errors carry the 1-based line number.
+    error. All parse errors carry the 1-based line number. Entries are
+    grouped by fiber (j, k); a fiber whose listed values are all zero is
+    not kept. Memory follows the listed entries, not n*J*K.
     """
-    with open(path, encoding="utf-8") as fh:
-        lines = fh.readlines()
-
     shape = None
-    Z = None
-    seen = None
-    for lineno, rawline in enumerate(lines, start=1):
-        text = _strip_comment(rawline)
-        if not text:
-            continue
-        tokens = text.split()
-        if shape is None:
-            if tokens[0] != "TNSR3" or len(tokens) != 4:
+    entries: dict[int, float] = {}  # flat index (k*J + j)*n + i -> value
+    with open(path, encoding="utf-8") as fh:
+        for lineno, rawline in enumerate(fh, start=1):
+            text = _strip_comment(rawline)
+            if not text:
+                continue
+            tokens = text.split()
+            if shape is None:
+                if tokens[0] != "TNSR3" or len(tokens) != 4:
+                    raise ValueError(
+                        f"{path}:{lineno}: expected header 'TNSR3 <n> <J> <K>', got {text!r}"
+                    )
+                try:
+                    shape = tuple(int(tok) for tok in tokens[1:])
+                except ValueError:
+                    raise ValueError(f"{path}:{lineno}: non-integer dimension in header {text!r}")
+                if any(d < 1 for d in shape):
+                    raise ValueError(f"{path}:{lineno}: dimensions must be >= 1, got {shape}")
+                n, J, K = shape
+                if n * J * K >= 2**63:
+                    raise ValueError(f"{path}:{lineno}: shape {shape} is too large to index")
+                continue
+            if len(tokens) != 4:
                 raise ValueError(
-                    f"{path}:{lineno}: expected header 'TNSR3 <n> <J> <K>', got {text!r}"
+                    f"{path}:{lineno}: expected '<i> <j> <k> <value>', got {text!r}"
                 )
             try:
-                shape = tuple(int(tok) for tok in tokens[1:])
+                i, j, k = (int(tok) for tok in tokens[:3])
+                value = float(tokens[3])
             except ValueError:
-                raise ValueError(f"{path}:{lineno}: non-integer dimension in header {text!r}")
-            if any(d < 1 for d in shape):
-                raise ValueError(f"{path}:{lineno}: dimensions must be >= 1, got {shape}")
-            Z = np.zeros(shape)
-            seen = np.zeros(shape, dtype=bool)
-            continue
-        if len(tokens) != 4:
-            raise ValueError(
-                f"{path}:{lineno}: expected '<i> <j> <k> <value>', got {text!r}"
-            )
-        try:
-            i, j, k = (int(tok) for tok in tokens[:3])
-            value = float(tokens[3])
-        except ValueError:
-            raise ValueError(f"{path}:{lineno}: malformed entry {text!r}")
-        if not math.isfinite(value):
-            raise ValueError(f"{path}:{lineno}: non-finite value {tokens[3]}")
-        if not (1 <= i <= shape[0] and 1 <= j <= shape[1] and 1 <= k <= shape[2]):
-            raise ValueError(
-                f"{path}:{lineno}: index ({i}, {j}, {k}) outside 1-based shape {shape}"
-            )
-        if seen[i - 1, j - 1, k - 1]:
-            raise ValueError(f"{path}:{lineno}: duplicate coordinate ({i}, {j}, {k})")
-        seen[i - 1, j - 1, k - 1] = True
-        Z[i - 1, j - 1, k - 1] = value
-    if Z is None:
+                raise ValueError(f"{path}:{lineno}: malformed entry {text!r}")
+            if not math.isfinite(value):
+                raise ValueError(f"{path}:{lineno}: non-finite value {tokens[3]}")
+            if not (1 <= i <= n and 1 <= j <= J and 1 <= k <= K):
+                raise ValueError(
+                    f"{path}:{lineno}: index ({i}, {j}, {k}) outside 1-based shape {shape}"
+                )
+            flat = ((k - 1) * J + j - 1) * n + i - 1
+            if flat in entries:
+                raise ValueError(f"{path}:{lineno}: duplicate coordinate ({i}, {j}, {k})")
+            entries[flat] = value
+    if shape is None:
         raise ValueError(f"{path}: empty file, expected a TNSR3 header")
-    return as_tensor3(Z)
+    key = np.fromiter(entries.keys(), dtype=np.int64, count=len(entries))
+    vals = np.fromiter(entries.values(), dtype=np.float64, count=len(entries))
+    key, vals = key[vals != 0.0], vals[vals != 0.0]
+    fiber = key // n
+    kept, col = np.unique(fiber, return_inverse=True)
+    Y = np.zeros((n, kept.size), order="F")
+    Y[key - fiber * n, col] = vals
+    return FiberSample(shape, ColumnIndexMap(J * K, kept), Y)
 
 
-def preprocess_dynamic_range(Z) -> np.ndarray:
+def preprocess_dynamic_range(sample: FiberSample) -> FiberSample:
     """Compress counts data: non-zeros map to log2(value) + 1, zeros stay.
 
     Requires every non-zero entry >= 1 so the transform keeps them
     positive (entry 1 -> 1, entry 8 -> 4).
     """
-    Z = as_tensor3(Z)
-    mask = Z != 0.0
-    bad = mask & (Z < 1.0)
+    Y = sample.Y
+    mask = Y != 0.0
+    bad = mask & (Y < 1.0)
     if bad.any():
-        idx = tuple(int(v) for v in np.argwhere(bad)[0])
+        i, q = (int(v) for v in np.argwhere(bad)[0])
+        k, j = divmod(int(sample.cmap.kept[q]), sample.shape[1])
         raise ValueError(
-            f"Non-zero entry {Z[idx]} at {idx} is < 1; dynamic-range compression "
+            f"Non-zero entry {Y[i, q]} at {(i, j, k)} is < 1; dynamic-range compression "
             "needs counts-style data"
         )
-    safe = np.where(mask, Z, 1.0)
-    return np.where(mask, np.log2(safe) + 1.0, 0.0)
+    safe = np.where(mask, Y, 1.0)
+    return replace(sample, Y=np.where(mask, np.log2(safe) + 1.0, 0.0))
 
 
-def scale_by_max(Z) -> np.ndarray:
+def scale_by_max(sample: FiberSample) -> FiberSample:
     """Divide the tensor by its largest entry magnitude."""
-    Z = as_tensor3(Z)
-    peak = float(np.abs(Z).max())
+    peak = float(np.abs(sample.Y).max(initial=0.0))
     if peak == 0.0:
         raise ValueError("Cannot max-scale an all-zero tensor")
-    return Z / peak
+    return replace(sample, Y=sample.Y / peak)
 
 
-def center_nonzero_fibers(Z) -> np.ndarray:
+def center_nonzero_fibers(sample: FiberSample) -> FiberSample:
     """Subtract the mean from each mode-1 fiber that has any non-zero.
 
     All-zero fibers stay zero, so the extract step still drops them.
     """
-    Z = as_tensor3(Z).copy()
-    live = (Z != 0.0).any(axis=0)
-    means = Z.mean(axis=0)
-    Z -= np.where(live, means, 0.0)[None, :, :]
-    return Z
+    Y = sample.Y
+    live = Y.any(axis=0)
+    return replace(sample, Y=Y - np.where(live, Y.mean(axis=0), 0.0))
 
 
 # Matrix CSV ---------------------------------------------------------------

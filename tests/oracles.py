@@ -92,3 +92,19 @@ def residual_iht(A, y, x0, eta: float, tau: float, R: int) -> np.ndarray:
         x = x - eta * (A.T @ (A @ x - y))
         x[np.abs(x) < tau] = 0.0
     return x
+
+
+def nonzero_fibers(Z):
+    """Return (kept, Y) for a dense (n, J, K) tensor: the flat indices
+    k*J + j of the fibers Z[:, j, k] with a non-zero entry, increasing,
+    and those fibers as the columns of Y, one fiber at a time."""
+    Z = np.asarray(Z, dtype=np.float64)
+    n, J, K = Z.shape
+    kept, cols = [], []
+    for k in range(K):
+        for j in range(J):
+            if np.any(Z[:, j, k] != 0.0):
+                kept.append(k * J + j)
+                cols.append(Z[:, j, k])
+    Y = np.column_stack(cols) if cols else np.zeros((n, 0))
+    return np.array(kept, dtype=np.int64), Y

@@ -206,6 +206,19 @@ def test_untangle_rejects_bad_dims(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error: ")
 
 
+def test_usage_errors_exit_1_and_help_exits_0(tmp_path, capsys):
+    # 2 is reserved for runs that stop without converging
+    with pytest.raises(SystemExit) as exc:
+        main(["untangle", str(tmp_path / "x.csv"), "--J", "2", "--K", "2",
+              "--svd_tol", "1e-12"])
+    assert exc.value.code == 1
+    assert "error: unrecognized arguments: --svd_tol 1e-12" in capsys.readouterr().err
+    with pytest.raises(SystemExit) as exc:
+        main(["synth-run", "--help"])
+    assert exc.value.code == 0
+    assert "--out" in capsys.readouterr().out
+
+
 def test_eval_command(tmp_path, capsys):
     A_ref = gen_dictionary(20, 5, 9)
     est = tmp_path / "est.csv"

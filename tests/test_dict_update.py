@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from sparsecp.dict_update import (
-    DictStepParams,
     SampleMode,
     descent_correlation,
     gradient,
@@ -109,9 +108,3 @@ def test_sample_mode_parsing():
     assert SampleMode.parse("INDEPENDENTONLY") is SampleMode.INDEPENDENT_ONLY
     with pytest.raises(ValueError):
         SampleMode.parse("everything")
-
-
-def test_step_params_validation():
-    assert DictStepParams(eta_A=2.0, sample_mode=SampleMode.ALL_NONZERO).eta_A == 2.0
-    with pytest.raises(ValueError):
-        DictStepParams(eta_A=0.0, sample_mode=SampleMode.ALL_NONZERO)

@@ -1,8 +1,18 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from sparsecp.runner import IterationRecord, RunMode, RunResult, SolverConfig
-from sparsecp.synth import Distribution
+from sparsecp.runner import (
+    FileSource,
+    IterationRecord,
+    RunMode,
+    RunResult,
+    SolverConfig,
+    run_online,
+)
+from sparsecp.synth import Distribution, gen_dictionary, gen_sparse_factor
+from sparsecp.tensor_core import ColumnIndexMap, FiberSample, cp_fibers
 from sparsecp.tensorio import (
     METRICS_HEADER,
     center_nonzero_fibers,
@@ -16,11 +26,25 @@ from sparsecp.tensorio import (
     write_metrics_csv,
 )
 
+from oracles import nonzero_fibers
+
 
 def tensor_file(tmp_path, body, name="t.tnsr"):
     p = tmp_path / name
     p.write_text(body, encoding="utf-8")
     return p
+
+
+def sample_of(Z):
+    kept, Y = nonzero_fibers(Z)
+    return FiberSample(Z.shape, ColumnIndexMap(Z.shape[1] * Z.shape[2], kept), Y)
+
+
+def entries_file(tmp_path, shape, entries, name="t.tnsr"):
+    """Write 0-based (i, j, k, value) entries as a TNSR3 file, in the given order."""
+    lines = [f"TNSR3 {shape[0]} {shape[1]} {shape[2]}"]
+    lines += [f"{i + 1} {j + 1} {k + 1} {float(v)!r}" for i, j, k, v in entries]
+    return tensor_file(tmp_path, "\n".join(lines) + "\n", name)
 
 
 # ingest_tensor -----------------------------------------------------------
@@ -31,17 +55,66 @@ def test_ingest_basic(tmp_path):
         tmp_path,
         "# comment line\nTNSR3 2 3 4   # trailing comment\n\n1 1 1 5.0\n2 3 4 -1.5\n",
     )
-    Z = ingest_tensor(p)
-    assert Z.shape == (2, 3, 4)
-    assert Z[0, 0, 0] == 5.0
-    assert Z[1, 2, 3] == -1.5
-    assert np.count_nonzero(Z) == 2
+    s = ingest_tensor(p)
+    assert s.shape == (2, 3, 4)
+    # fiber (j, k) = (0, 0) is flat index 0, (2, 3) is 3*3 + 2 = 11
+    assert np.array_equal(s.cmap.kept, [0, 11])
+    assert s.cmap.total_cols == 12
+    assert np.array_equal(s.Y, [[5.0, 0.0], [0.0, -1.5]])
 
 
 def test_ingest_header_only_is_zero_tensor(tmp_path):
-    Z = ingest_tensor(tensor_file(tmp_path, "TNSR3 3 2 2\n"))
-    assert Z.shape == (3, 2, 2)
-    assert not Z.any()
+    s = ingest_tensor(tensor_file(tmp_path, "TNSR3 3 2 2\n"))
+    assert s.shape == (3, 2, 2)
+    assert s.cmap.p == 0 and s.Y.shape == (3, 0)
+
+
+def test_ingest_matches_dense_reference(tmp_path):
+    # J != K, entries in shuffled order, some listed with value 0
+    rng = np.random.default_rng(5)
+    shape = (6, 7, 4)
+    Z = np.zeros(shape)
+    picks = rng.choice(Z.size, size=40, replace=False)
+    entries = []
+    for flat in picks:
+        i, j, k = np.unravel_index(flat, shape)
+        v = 0.0 if flat % 5 == 0 else float(rng.standard_normal())
+        Z[i, j, k] = v
+        entries.append((i, j, k, v))
+    s = ingest_tensor(entries_file(tmp_path, shape, entries))
+    kept, Y = nonzero_fibers(Z)
+    assert s.shape == shape
+    assert np.array_equal(s.cmap.kept, kept)
+    assert np.array_equal(s.Y, Y)
+
+
+def test_ingest_zero_valued_fiber_is_not_a_sample_column(tmp_path):
+    # fiber (j, k) = (1, 0) is listed, but only with zeros
+    entries = [(0, 0, 0, 2.0), (1, 1, 0, 0.0), (2, 1, 0, 0.0), (0, 0, 1, -1.0)]
+    s = ingest_tensor(entries_file(tmp_path, (3, 2, 2), entries))
+    assert np.array_equal(s.cmap.kept, [0, 2])
+    cfg = SolverConfig(n=3, J=2, K=2, m=2, alpha=0.5, beta=0.5, eta_A=1.0, T_max=1)
+    res = run_online(cfg, FileSource(cfg, [s]))
+    assert res.records[0].p == 2
+
+
+def test_ingest_memory_follows_entries(tmp_path):
+    n, J, K, m = 50, 300, 300, 10
+    B = gen_sparse_factor(J, m, 0.01, rng_seed=1)
+    C = gen_sparse_factor(K, m, 0.01, rng_seed=2)
+    s = cp_fibers(gen_dictionary(n, m, 0), B, C)
+    j, k = s.cmap.block_coords(J)
+    entries = [(i, j[q], k[q], s.Y[i, q]) for q in range(s.cmap.p) for i in range(n)]
+    path = entries_file(tmp_path, (n, J, K), entries)
+    tracemalloc.start()
+    try:
+        back = ingest_tensor(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert back.cmap.p == s.cmap.p > 0
+    assert np.array_equal(back.Y, s.Y)
+    assert peak < n * J * K * 8
 
 
 def test_ingest_errors_carry_line_numbers(tmp_path):
@@ -50,6 +123,7 @@ def test_ingest_errors_carry_line_numbers(tmp_path):
         ("TNSR3 2 2\n", ":1: expected header"),
         ("TNSR3 2 2 x\n", ":1: non-integer dimension"),
         ("TNSR3 2 0 2\n", ":1: dimensions must be >= 1"),
+        ("TNSR3 1 4000000000 4000000000\n", ":1: shape .* is too large to index"),
         ("TNSR3 2 2 2\n1 1 1\n", ":2: expected '<i> <j> <k> <value>'"),
         ("TNSR3 2 2 2\n1 one 1 3.0\n", ":2: malformed entry"),
         ("TNSR3 2 2 2\n1 1 1 nan\n", ":2: non-finite value"),
@@ -71,33 +145,35 @@ def test_preprocess_dynamic_range():
     Z = np.zeros((2, 2, 1))
     Z[0, 0, 0] = 1.0
     Z[1, 0, 0] = 8.0
-    out = preprocess_dynamic_range(Z)
-    assert out[0, 0, 0] == 1.0  # log2(1) + 1
-    assert out[1, 0, 0] == 4.0  # log2(8) + 1
-    assert out[0, 1, 0] == 0.0
+    Z[0, 1, 0] = 2.0
+    out = preprocess_dynamic_range(sample_of(Z))
+    assert np.array_equal(out.cmap.kept, [0, 1])
+    assert out.Y[0, 0] == 1.0  # log2(1) + 1
+    assert out.Y[1, 0] == 4.0  # log2(8) + 1
+    assert out.Y[0, 1] == 2.0  # log2(2) + 1
+    assert out.Y[1, 1] == 0.0
     with pytest.raises(ValueError, match=r"\(0, 1, 0\)"):
         Z[0, 1, 0] = 0.5
-        preprocess_dynamic_range(Z)
+        preprocess_dynamic_range(sample_of(Z))
 
 
 def test_scale_by_max():
     Z = np.zeros((2, 1, 2))
     Z[0, 0, 1] = -4.0
     Z[1, 0, 0] = 2.0
-    out = scale_by_max(Z)
-    assert out[0, 0, 1] == -1.0
-    assert out[1, 0, 0] == 0.5
+    out = scale_by_max(sample_of(Z))
+    assert np.array_equal(out.Y, [[0.0, -1.0], [0.5, 0.0]])
     with pytest.raises(ValueError, match="all-zero"):
-        scale_by_max(np.zeros((2, 2, 2)))
+        scale_by_max(sample_of(np.zeros((2, 2, 2))))
 
 
 def test_center_nonzero_fibers():
-    Z = np.zeros((3, 2, 1))
-    Z[:, 0, 0] = [1.0, 2.0, 3.0]
-    out = center_nonzero_fibers(Z)
-    assert np.allclose(out[:, 0, 0], [-1.0, 0.0, 1.0])
+    Y = np.array([[1.0, 0.0], [2.0, 0.0], [3.0, 0.0]])
+    s = FiberSample((3, 2, 1), ColumnIndexMap(2, np.array([0, 1])), Y)
+    out = center_nonzero_fibers(s)
+    assert np.allclose(out.Y[:, 0], [-1.0, 0.0, 1.0])
     # the all-zero fiber is left alone, not filled with -mean
-    assert not out[:, 1, 0].any()
+    assert not out.Y[:, 1].any()
 
 
 # matrix csv --------------------------------------------------------------

@@ -6,36 +6,12 @@ from sparsecp.linalg import (
     CollapsedColumnError,
     as_matrix,
     column_norms,
-    matmul,
     normalize_columns,
     rank1_svd,
     spectral_norm,
 )
 
 from oracles import jacobi_sigma1
-
-
-# matmul ------------------------------------------------------------------
-
-
-def test_matmul_identity():
-    M = np.array([[1.0, 2.0], [3.0, 4.0]])
-    assert np.array_equal(matmul(np.eye(2), M), M)
-
-
-def test_matmul_hand():
-    out = matmul(np.array([[1.0, 2.0], [3.0, 4.0]]), np.array([[1.0], [1.0]]))
-    assert np.array_equal(out, np.array([[3.0], [7.0]]))
-
-
-def test_matmul_zero_annihilator():
-    A = np.arange(6.0).reshape(2, 3) + 1
-    assert not matmul(A, np.zeros((3, 4))).any()
-
-
-def test_matmul_shape_error_names_both_shapes():
-    with pytest.raises(ValueError, match=r"\(2,3\) @ \(2,2\)"):
-        matmul(np.zeros((2, 3)), np.zeros((2, 2)))
 
 
 # rank1_svd ---------------------------------------------------------------

@@ -1,5 +1,6 @@
 import math
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -16,15 +17,22 @@ from sparsecp.runner import (
 from sparsecp.synth import (
     Distribution,
     SparsityParams,
+    child_seed,
     gen_dictionary,
+    gen_factor_pair,
     gen_tensor_instance,
     perturb_init,
 )
 from sparsecp.tensor_core import (
+    ColumnIndexMap,
+    FiberSample,
+    cp_fibers,
     extract_nonzero_columns,
     independent_column_indices,
     mode1_unfold,
 )
+
+from oracles import nonzero_fibers
 
 TINY = 1e-300  # effectively "never stop on eps_T"
 
@@ -129,8 +137,13 @@ def test_p_indep_counts_diagonal_blocks():
     cfg = cfg_small(T_max=1, alpha=0.3, beta=0.3)
     src = SyntheticSource(cfg)
     res = run_online(cfg, source=SyntheticSource(cfg))
-    Z, _ = src.instance(0)
+    # the dense reference of the same draw
+    Z, _ = gen_tensor_instance(
+        cfg.n, cfg.J, cfg.K, cfg.m, cfg.sparsity(), cfg.dist, cfg.C_lb, src.A_star,
+        child_seed(cfg.seed, 2, 0),
+    )
     _, cmap = extract_nonzero_columns(mode1_unfold(Z), cfg.zero_tol)
+    assert np.array_equal(src.instance(0)[0].cmap.kept, cmap.kept)
     indep = set(independent_column_indices(cfg.J, cfg.K).tolist())
     manual = sum(1 for c in cmap.kept.tolist() if c in indep)
     assert res.records[0].p_indep == manual
@@ -143,20 +156,38 @@ def test_independent_only_sampling_runs():
     assert res.records[-1].err_A_max < res.records[0].err_A_max
 
 
+def test_run_allocates_no_dense_sample_or_code_matrix():
+    # n*J*K would be 36 MB and m*J*K 7.2 MB; a sample holds n*p values
+    cfg = SolverConfig(
+        n=50, J=300, K=300, m=10, alpha=0.01, beta=0.01, eta_A=20.0, T_max=2, seed=3,
+    )
+    tracemalloc.start()
+    try:
+        res = run_online(cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert res.iterations == 2 and min(r.p for r in res.records) > 0
+    assert peak < cfg.m * cfg.J * cfg.K * 8
+
+
 # file sources ------------------------------------------------------------
+
+
+def sample_of(Z):
+    kept, Y = nonzero_fibers(Z)
+    return FiberSample(Z.shape, ColumnIndexMap(Z.shape[1] * Z.shape[2], kept), Y)
 
 
 def planted_tensors(cfg, count, seed=11, A=None):
     if A is None:
         A = gen_dictionary(cfg.n, cfg.m, seed)
-    out = []
-    for t in range(count):
-        Z, _ = gen_tensor_instance(
-            cfg.n, cfg.J, cfg.K, cfg.m, SparsityParams(cfg.alpha, cfg.beta),
-            Distribution.RADEMACHER, cfg.C_lb, A, 1000 + t,
-        )
-        out.append(Z)
-    return out
+    sp = SparsityParams(cfg.alpha, cfg.beta)
+    return [
+        cp_fibers(A, *gen_factor_pair(cfg.J, cfg.K, cfg.m, sp, Distribution.RADEMACHER,
+                                      cfg.C_lb, 1000 + t))
+        for t in range(count)
+    ]
 
 
 def test_file_source_exhaustion():
@@ -168,9 +199,15 @@ def test_file_source_exhaustion():
 
 
 def test_file_source_validates_shape():
-    cfg = cfg_small()
-    with pytest.raises(ValueError, match="Tensor 0 has shape"):
-        FileSource(cfg, [np.zeros((cfg.n, cfg.J, cfg.K + 1))])
+    cfg = cfg_small(J=15, K=12)
+    good = sample_of(np.ones((cfg.n, 15, 12)))
+    FileSource(cfg, [good])
+    for shape in [(cfg.n, 15, 13), (cfg.n, 12, 15), (cfg.n + 1, 15, 12)]:
+        # (n, 12, 15) has the same J*K: only the shape check tells them apart
+        with pytest.raises(ValueError, match="Tensor 1 has shape"):
+            FileSource(cfg, [good, sample_of(np.ones(shape))])
+    with pytest.raises(TypeError, match="not a FiberSample"):
+        FileSource(cfg, [np.ones((cfg.n, 15, 12))])
     with pytest.raises(ValueError, match="at least one"):
         FileSource(cfg, [])
 
@@ -189,7 +226,7 @@ def test_file_batch_converges_on_movement():
     cfg = cfg_small(T_max=400, eps_T=1e-10, eta_A=4.0, mode=RunMode.BATCH)
     # plant the file near the dictionary the file source starts from, so
     # the codes are non-zero and the movement stop has to be earned
-    start = FileSource(cfg, [np.zeros((cfg.n, cfg.J, cfg.K))]).initial_dictionary()
+    start = FileSource(cfg, [sample_of(np.zeros((cfg.n, cfg.J, cfg.K)))]).initial_dictionary()
     tensors = planted_tensors(cfg, 1, A=perturb_init(start, 0.1, 11))
     res = run_online(cfg, source=FileSource(cfg, tensors))
     assert res.converged
@@ -203,7 +240,7 @@ def test_file_zero_codes_do_not_converge():
     # every fiber is far below the code threshold, so every code is zero,
     # the gradient is zero and the dictionary does not move
     cfg = cfg_small(m=5, eta_A=1.0)
-    flat = np.full((cfg.n, cfg.J, cfg.K), 0.001)
+    flat = sample_of(np.full((cfg.n, cfg.J, cfg.K), 0.001))
     res = run_online(cfg, source=FileSource(cfg, [flat] * 3))
     assert not res.converged
     assert res.stop_reason == "source_exhausted"

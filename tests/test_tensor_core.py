@@ -2,17 +2,21 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from sparsecp.synth import gen_dictionary, gen_sparse_factor
 from sparsecp.tensor_core import (
     ColumnIndexMap,
+    FiberSample,
     cp_compose,
+    cp_fibers,
     extract_nonzero_columns,
     independent_column_indices,
+    khatri_rao_columns,
     khatri_rao_transpose,
     mode1_unfold,
     scatter_columns,
 )
 
-from oracles import compose_triple_loop
+from oracles import compose_triple_loop, nonzero_fibers
 
 
 def small_factors(seed, n=3, J=4, K=5, m=2):
@@ -180,6 +184,42 @@ def test_block_coords_inverts_flat_law():
     j, k = cmap.block_coords(J=3)
     assert np.array_equal(k * 3 + j, np.arange(12))
     assert j.max() == 2 and k.max() == 3
+
+
+# fiber samples ----------------------------------------------------------
+
+
+@pytest.mark.parametrize("alpha", [0.01, 0.05])
+@pytest.mark.parametrize("n,J,K,m", [(6, 7, 5, 2000), (6, 5, 7, 2000), (8, 70, 50, 40)])
+def test_cp_fibers_match_dense_reference(alpha, n, J, K, m):
+    # J != K both ways round, so a swapped j/k fails
+    for seed in range(3):
+        A = gen_dictionary(n, m, seed)
+        B = gen_sparse_factor(J, m, alpha, rng_seed=(seed, 1))
+        C = gen_sparse_factor(K, m, alpha, rng_seed=(seed, 2))
+        s = cp_fibers(A, B, C)
+        Y, cmap = extract_nonzero_columns(mode1_unfold(cp_compose(A, B, C)))
+        assert s.shape == (n, J, K) and s.cmap.total_cols == J * K
+        assert s.cmap.p > 0
+        assert np.array_equal(s.cmap.kept, cmap.kept)
+        assert np.max(np.abs(s.Y - Y)) <= 1e-15
+        kept, _ = nonzero_fibers(cp_compose(A, B, C))
+        assert np.array_equal(s.cmap.kept, kept)
+
+
+def test_khatri_rao_columns_are_the_kept_columns():
+    _, B, C = small_factors(4, J=4, K=3, m=2)
+    cmap = ColumnIndexMap(12, np.array([0, 5, 6, 11]))
+    assert np.array_equal(khatri_rao_columns(B, C, cmap), khatri_rao_transpose(B, C)[:, cmap.kept])
+
+
+def test_fiber_sample_validates():
+    cmap = ColumnIndexMap(6, np.array([1, 4]))
+    FiberSample((3, 2, 3), cmap, np.zeros((3, 2)))
+    with pytest.raises(ValueError, match=r"shape \(3, 2, 4\) with 2 of 6 fibers"):
+        FiberSample((3, 2, 4), cmap, np.zeros((3, 2)))
+    with pytest.raises(ValueError, match=r"values of shape \(3, 3\)"):
+        FiberSample((3, 2, 3), cmap, np.zeros((3, 3)))
 
 
 # independent columns -----------------------------------------------------

@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from sparsecp.linalg import column_norms, spectral_norm
-from sparsecp.tensor_core import khatri_rao_transpose
-from sparsecp.untangle import untangle_krp
+from sparsecp.linalg import column_norms, rank1_svd, spectral_norm
+from sparsecp.tensor_core import extract_nonzero_columns, khatri_rao_transpose
+from sparsecp.untangle import untangle_codes, untangle_krp
 
 
 def sparse_pair(seed, J, K, m, prob):
@@ -94,3 +94,22 @@ def test_untangle_near_equal_singular_values():
     out = untangle_krp(S, J=2, K=2)
     got = np.linalg.norm(out.B[:, 0]) * np.linalg.norm(out.C[:, 0])
     assert abs(got - 1.0) <= 1e-12
+
+
+def test_untangle_codes_matches_full_row_split():
+    # reference: reshape every full row of S to J x K and split it
+    for seed, (J, K) in enumerate([(9, 6), (6, 9), (30, 20)]):
+        B, C = sparse_pair(seed, J, K, m=8, prob=0.3)
+        rng = np.random.default_rng(seed)
+        S = khatri_rao_transpose(B, C)
+        S = np.where(S != 0.0, S + rng.uniform(-0.2, 0.2, size=S.shape), 0.0)
+        X, cmap = extract_nonzero_columns(S)
+        out = untangle_codes(X, cmap, J, K)
+        for i in range(8):
+            if not S[i].any():
+                assert i in out.degenerate_rows
+                continue
+            svd = rank1_svd(S[i].reshape(K, J).T)
+            s = np.sqrt(svd.sigma1)
+            assert np.array_equal(out.B[:, i], s * svd.u1)
+            assert np.array_equal(out.C[:, i], s * svd.v1)
