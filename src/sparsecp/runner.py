@@ -32,7 +32,7 @@ from .metrics import (
     rel_frobenius,
     signed_support_equal,
 )
-from .sparse_coding import IhtParams, init_code, iht
+from .sparse_coding import IhtDivergenceError, IhtParams, iht
 from .synth import (
     Distribution,
     GroundTruth,
@@ -53,6 +53,7 @@ from .tensor_core import (
 from .untangle import untangle_codes
 
 # Not called here: the benchmark's tracer wraps these runner attributes by name.
+from .sparse_coding import init_code  # noqa: F401
 from .synth import gen_tensor_instance  # noqa: F401
 from .tensor_core import khatri_rao_transpose, mode1_unfold, scatter_columns  # noqa: F401
 from .untangle import untangle_krp  # noqa: F401
@@ -413,7 +414,10 @@ def run_online(cfg: SolverConfig, source: TensorSource | None = None) -> RunResu
         indep_pos = np.flatnonzero(np.isin(cmap.kept, indep, assume_unique=True))
         p_indep = int(indep_pos.size)
 
-        Xh = iht(A, Y, init_code(A, Y, cfg.C_lb), ihtp)
+        try:
+            Xh = iht(A, Y, None, ihtp)
+        except IhtDivergenceError as exc:
+            raise RuntimeError(f"Sparse coding failed at iteration {t}: {exc}") from exc
         unf = untangle_codes(Xh, cmap, J, K)
 
         if cfg.sample_mode is SampleMode.INDEPENDENT_ONLY:

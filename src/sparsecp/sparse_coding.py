@@ -2,6 +2,10 @@
 
 IHT runs in Gram form over all columns at once: G = A^T A and A^T Y are
 formed once per call, so each step costs m^2 p flops instead of 2 n m p.
+A column whose start has one non-zero and whose support provably holds
+through all R steps is settled in closed form, x* + c^R (x0 - x*), in
+O(m) (the exactness test is in iht's docstring); every other column runs
+the steps, which stay the reference.
 """
 
 from __future__ import annotations
@@ -131,30 +135,93 @@ def iht(A, Y, X0, params: IhtParams) -> np.ndarray:
     """Return X^(R) after R hard-thresholded gradient steps per column.
 
     X^(r+1) = T_tau(X^(r) - eta_x * (G X^(r) - A^T Y)) with G = A^T A,
-    columns independent. R = 0 returns X0 unchanged.
+    columns independent. X0 = None starts from T_{C_lb/2}(A^T Y), the
+    init_code start, reusing the A^T Y the steps need. R = 0 returns the
+    start unchanged.
+
+    With scalar eta_x and tau, a column whose start has one non-zero row
+    r is settled in closed form when its support provably never changes:
+    with g = G_rr, c = 1 - eta_x*g and x* = (A^T Y)_rq / g, the steps
+    give x_t = x* + c^t (x0 - x*). The column gets x_R directly when
+    0 < c < 1 (so x_t moves monotonically from x0 towards x*), x0 and x_R
+    share a sign with magnitude >= tau*(1 + 1e-9), and every off-support
+    candidate |eta_x*(G_sr*x - (A^T Y)_sq)|, s != r, is below
+    tau*(1 - 1e-9) at x = x0 and x = x_{R-1}; it is affine in x, so
+    those two endpoints bound every step. The margins absorb the rounding
+    between the closed form and the steps. Every other column, and every
+    column when eta_x or tau is a schedule, runs the steps.
     """
     A = as_matrix(A)
     Y = as_matrix(Y)
-    X0 = as_matrix(X0)
     n, m = A.shape
     if Y.shape[0] != n:
         raise ValueError(f"Row mismatch: A is {n}x{m}, Y is {Y.shape[0]}x{Y.shape[1]}")
-    if X0.shape != (m, Y.shape[1]):
-        raise ValueError(
-            f"X0 must be {m}x{Y.shape[1]}, got {X0.shape[0]}x{X0.shape[1]}"
-        )
     p = Y.shape[1]
+    AtY = A.T @ Y
+    if X0 is None:
+        X = np.asfortranarray(hard_threshold(AtY, params.C_lb / 2.0))
+    else:
+        X0 = as_matrix(X0)
+        if X0.shape != (m, p):
+            raise ValueError(f"X0 must be {m}x{p}, got {X0.shape[0]}x{X0.shape[1]}")
+        X = X0.copy(order="F")
     if params.R == 0 or p == 0:
-        return X0.copy(order="F")
+        return X
 
     G = A.T @ A
-    AtY = A.T @ Y
-    X = X0
+    if isinstance(params.eta_x, tuple) or isinstance(params.tau, tuple):
+        loop = np.arange(p)
+    else:
+        loop = _settle_one_sparse(G, AtY, X, params.eta_x, params.tau, params.R)
+    if loop.size == p:
+        return _iht_steps(G, AtY, X, params, loop)
+    if loop.size:
+        X[:, loop] = _iht_steps(G, AtY[:, loop], np.asfortranarray(X[:, loop]), params, loop)
+    return X
+
+
+def _settle_one_sparse(G, AtY, X, eta: float, tau: float, R: int) -> np.ndarray:
+    """Write x_R into X for each 1-sparse column the closed form settles
+    (see iht); return the indices of the columns left for the steps."""
+    nz = X != 0.0
+    one = np.flatnonzero(np.count_nonzero(nz, axis=0) == 1)
+    r = np.argmax(nz[:, one], axis=0)
+    g = G[r, r]
+    c = 1.0 - eta * g
+    keep = (c > 0.0) & (c < 1.0)
+    one, r, g, c = one[keep], r[keep], g[keep], c[keep]
+    x0 = X[r, one]
+    xs = AtY[r, one] / g
+    x_prev = xs + c ** (R - 1) * (x0 - xs)
+    x_R = xs + c**R * (x0 - xs)
+    lo = tau * (1.0 + 1e-9)
+    keep = (np.sign(x0) == np.sign(x_R)) & (np.abs(x0) >= lo) & (np.abs(x_R) >= lo)
+    one, r, x0, x_prev, x_R = one[keep], r[keep], x0[keep], x_prev[keep], x_R[keep]
+
+    # Off-support candidates at both endpoints; row r is zeroed out of both terms.
+    Gr = G[:, r]
+    AtYq = AtY[:, one]
+    cols = np.arange(one.size)
+    Gr[r, cols] = 0.0
+    AtYq[r, cols] = 0.0
+    worst = np.abs(Gr * x0 - AtYq)
+    np.maximum(worst, np.abs(Gr * x_prev - AtYq), out=worst)
+    keep = eta * worst.max(axis=0) < tau * (1.0 - 1e-9)
+    X[r[keep], one[keep]] = x_R[keep]
+
+    settled = np.zeros(X.shape[1], dtype=bool)
+    settled[one[keep]] = True
+    return np.flatnonzero(~settled)
+
+
+def _iht_steps(G, AtY, X, params: IhtParams, cols) -> np.ndarray:
+    """Run the R steps on the columns of X; cols[q] is column q's index in
+    the caller's sample, which a divergence error reports."""
     with np.errstate(over="ignore", invalid="ignore"):
         for r in range(params.R):
             X = X - params.step_eta(r) * (G @ X - AtY)
             np.putmask(X, np.abs(X) < params.step_tau(r), 0.0)
             if not np.all(np.isfinite(X)):
                 bad = np.flatnonzero(~np.isfinite(X).all(axis=0))
-                raise IhtDivergenceError(r, int(bad[0]))
+                raise IhtDivergenceError(r, int(cols[bad[0]]))
     return np.asfortranarray(X)

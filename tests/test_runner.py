@@ -14,6 +14,7 @@ from sparsecp.runner import (
     SyntheticSource,
     run_online,
 )
+from sparsecp.sparse_coding import IhtDivergenceError
 from sparsecp.synth import (
     Distribution,
     SparsityParams,
@@ -260,6 +261,31 @@ def test_run_wall_time_counts_unlogged_iterations():
     assert len(res.records) == 4
     # the 8 unlogged iterations each slept 2 ms on top of the logged time
     assert res.wall_ms >= sum(r.wall_ms for r in res.records) + 8 * 2.0
+
+
+class DuplicateAtomSource:
+    """Three near-duplicate unit atoms, so G = A^T A has an eigenvalue near
+    3 and eta_x = 1 scales the code by about -2 per IHT step."""
+
+    def __init__(self, cfg):
+        rng = np.random.default_rng(5)
+        A = rng.standard_normal((cfg.n, 1)) + 1e-3 * rng.standard_normal((cfg.n, cfg.m))
+        self._A = A / np.linalg.norm(A, axis=0)
+        self._shape = (cfg.n, cfg.J, cfg.K)
+
+    def initial_dictionary(self):
+        return self._A
+
+    def instance(self, t):
+        cmap = ColumnIndexMap(self._shape[1] * self._shape[2], [0])
+        return FiberSample(self._shape, cmap, self._A[:, :1].copy()), None
+
+
+def test_coding_failure_names_iteration():
+    cfg = cfg_small(m=3, J=2, K=2, eta_x=1.0, R=2000, eta_A=1.0)
+    with pytest.raises(RuntimeError, match="Sparse coding failed at iteration 0") as err:
+        run_online(cfg, source=DuplicateAtomSource(cfg))
+    assert isinstance(err.value.__cause__, IhtDivergenceError)
 
 
 # config resolution -------------------------------------------------------
