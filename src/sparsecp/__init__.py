@@ -8,29 +8,21 @@ approximate-gradient step on the dictionary. `run_online`
 drives the whole loop; the submodules expose every stage separately.
 """
 
-from .dict_update import (
-    SampleMode,
-    descent_correlation,
-    gradient,
-    step_and_normalize,
-)
+from .dict_update import SampleMode, gradient, step_and_normalize
 from .linalg import (
     CollapsedColumnError,
     Rank1Svd,
     column_norms,
     normalize_columns,
     rank1_svd,
-    spectral_norm,
 )
 from .metrics import (
     Alignment,
     ColumnErrors,
     align_columns,
     align_rows,
-    closeness_check,
     column_errors,
     data_fit,
-    incoherence,
     match_columns,
     normalized_column_errors,
     rel_frobenius,
@@ -101,13 +93,11 @@ __all__ = [
     "align_columns",
     "align_rows",
     "child_seed",
-    "closeness_check",
     "column_errors",
     "column_norms",
     "cp_compose",
     "cp_fibers",
     "data_fit",
-    "descent_correlation",
     "emit_outputs",
     "extract_nonzero_columns",
     "gen_dictionary",
@@ -116,7 +106,6 @@ __all__ = [
     "gradient",
     "hard_threshold",
     "iht",
-    "incoherence",
     "independent_column_indices",
     "ingest_tensor",
     "init_code",
@@ -134,7 +123,6 @@ __all__ = [
     "run_online",
     "scatter_columns",
     "signed_support_equal",
-    "spectral_norm",
     "step_and_normalize",
     "untangle_codes",
     "untangle_krp",

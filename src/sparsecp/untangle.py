@@ -6,6 +6,8 @@ M[j, k] = S[i, k*J + j], has the principal rank-1 SVD triple
 C_i = sqrt(sigma1) v1. The triple comes from one LAPACK SVD of the block
 of rows j and columns k where code row i is non-zero, built straight
 from the m x p codes, so B_i and C_i are exactly zero off that block.
+untangle_codes takes the loop's float64 codes as given; untangle_krp,
+the public dense entry point, validates its matrix first.
 """
 
 from __future__ import annotations

@@ -1,15 +1,21 @@
-"""Independent reference implementations used only by the test suite.
+"""Reference implementations and checks used only by the test suite.
 
-Nothing here may import from sparsecp internals beyond plain numpy/scipy:
-these exist so the production kernels are checked against algorithms that
-share no code with them (one-sided Jacobi SVD vs LAPACK, the
-Hungarian assignment vs greedy matching, triple loops vs einsum).
+The independent references use plain numpy/scipy only, so the production
+kernels are checked against algorithms that share no code with them
+(one-sided Jacobi SVD vs LAPACK, the Hungarian assignment vs greedy
+matching, triple loops vs einsum). The checks at the end (spectral_norm,
+incoherence, closeness_check, descent_correlation) are used by tests
+only; unlike the references, they are built on the package's public
+functions.
 """
 
 from __future__ import annotations
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
+
+from sparsecp.linalg import column_norms, rank1_svd
+from sparsecp.metrics import align_columns, column_errors, match_columns
 
 
 def jacobi_sigma1(M, sweeps: int = 60, tol: float = 1e-14) -> float:
@@ -108,3 +114,48 @@ def nonzero_fibers(Z):
                 cols.append(Z[:, j, k])
     Y = np.column_stack(cols) if cols else np.zeros((n, 0))
     return np.array(kept, dtype=np.int64), Y
+
+
+def spectral_norm(M) -> float:
+    """Return sigma1(M), the largest singular value, by rank1_svd."""
+    return rank1_svd(np.asarray(M, dtype=np.float64)).sigma1
+
+
+def incoherence(A) -> float:
+    """Return mu = sqrt(n) * max_{i != j} |<A_i, A_j>| for unit-norm columns."""
+    A = np.asarray(A, dtype=np.float64)
+    norms = column_norms(A)
+    if np.any(np.abs(norms - 1.0) > 1e-8):
+        worst = int(np.argmax(np.abs(norms - 1.0)))
+        raise ValueError(
+            f"incoherence needs unit-norm columns; column {worst} has norm "
+            f"{float(norms[worst]):.12g}"
+        )
+    n, m = A.shape
+    if m == 1:
+        return 0.0
+    G = np.abs(A.T @ A)
+    np.fill_diagonal(G, 0.0)
+    return float(np.sqrt(n) * G.max())
+
+
+def closeness_check(A, A_ref, eps: float, kappa: float) -> bool:
+    """Return True iff, after alignment, every column error is <= eps and
+    ||A_aligned - A_ref||_2 <= kappa * ||A_ref||_2."""
+    align = match_columns(A, A_ref)
+    if column_errors(A, A_ref, align).max_err > eps:
+        return False
+    diff = align_columns(A, align) - A_ref
+    return spectral_norm(diff) <= kappa * spectral_norm(A_ref)
+
+
+def descent_correlation(g_i, Ai, Astar_i) -> float:
+    """Return <g_i, A_i - A*_i>, the descent diagnostic for one atom."""
+    g_i = np.asarray(g_i, dtype=np.float64)
+    Ai = np.asarray(Ai, dtype=np.float64)
+    Astar_i = np.asarray(Astar_i, dtype=np.float64)
+    if not (g_i.shape == Ai.shape == Astar_i.shape):
+        raise ValueError(
+            f"Length mismatch: {g_i.shape}, {Ai.shape}, {Astar_i.shape}"
+        )
+    return float(g_i @ (Ai - Astar_i))

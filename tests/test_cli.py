@@ -219,6 +219,18 @@ def test_usage_errors_exit_1_and_help_exits_0(tmp_path, capsys):
     assert "--out" in capsys.readouterr().out
 
 
+def test_eval_and_untangle_name_non_finite_line(tmp_path, capsys):
+    bad = tmp_path / "bad.csv"
+    bad.write_text("2,4\n1.0,0.0,0.0,1.0\n0.0,nan,0.0,0.0\n", encoding="utf-8")
+    good = tmp_path / "good.csv"
+    write_matrix_csv(good, np.eye(2, 4))
+    for argv in (["eval", str(bad), str(good)],
+                 ["eval", str(good), str(bad)],
+                 ["untangle", str(bad), "--J", "2", "--K", "2", "--out", str(tmp_path / "u")]):
+        assert main(argv) == 1
+        assert f"error: {bad}:3: non-finite value nan" in capsys.readouterr().err
+
+
 def test_eval_command(tmp_path, capsys):
     A_ref = gen_dictionary(20, 5, 9)
     est = tmp_path / "est.csv"

@@ -1,12 +1,8 @@
 import numpy as np
 import pytest
 
-from sparsecp.dict_update import (
-    SampleMode,
-    descent_correlation,
-    gradient,
-    step_and_normalize,
-)
+from oracles import descent_correlation
+from sparsecp.dict_update import SampleMode, gradient, step_and_normalize
 from sparsecp.linalg import CollapsedColumnError
 
 

@@ -215,6 +215,11 @@ def test_matrix_csv_errors(tmp_path):
     p.write_text("1,2\n1.0,abc\n", encoding="utf-8")
     with pytest.raises(ValueError, match=":2: malformed value"):
         read_matrix_csv(p)
+    # blank lines count: errors name the line of the file, not the row
+    for token in ("nan", "inf", "-inf", "NaN"):
+        p.write_text(f"2,3\n1.0,2.0,3.0\n\n4.0,{token},6.0\n", encoding="utf-8")
+        with pytest.raises(ValueError, match=f"bad.csv:4: non-finite value {token}$"):
+            read_matrix_csv(p)
 
 
 # config ------------------------------------------------------------------

@@ -8,10 +8,9 @@ from sparsecp.linalg import (
     column_norms,
     normalize_columns,
     rank1_svd,
-    spectral_norm,
 )
 
-from oracles import jacobi_sigma1
+from oracles import jacobi_sigma1, spectral_norm
 
 
 # rank1_svd ---------------------------------------------------------------

@@ -1,14 +1,12 @@
 import numpy as np
 import pytest
 
-from oracles import hungarian_alignment
+from oracles import closeness_check, hungarian_alignment, incoherence
 from sparsecp.metrics import (
     align_columns,
     align_rows,
-    closeness_check,
     column_errors,
     data_fit,
-    incoherence,
     match_columns,
     normalized_column_errors,
     rel_frobenius,

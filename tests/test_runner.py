@@ -1,10 +1,14 @@
+import importlib
 import math
+import pkgutil
 import time
 import tracemalloc
 
 import numpy as np
 import pytest
 
+import sparsecp
+from sparsecp import linalg
 from sparsecp.dict_update import SampleMode
 from sparsecp.runner import (
     ETA_A_PRESETS,
@@ -170,6 +174,31 @@ def test_run_allocates_no_dense_sample_or_code_matrix():
         tracemalloc.stop()
     assert res.iterations == 2 and min(r.p for r in res.records) > 0
     assert peak < cfg.m * cfg.J * cfg.K * 8
+
+
+def test_loop_validates_each_sample_once(monkeypatch):
+    # as_matrix copies and scans its whole array; in the loop only a new
+    # sample (FiberSample construction) and the initial dictionary take it
+    cfg = SolverConfig(
+        n=100, J=60, K=60, m=50, alpha=0.05, beta=0.05, T_max=3, eps_T=TINY, seed=1,
+    )
+    source = SyntheticSource(cfg)
+    A0 = source.initial_dictionary()  # set-up: perturb_init validates A_star
+    source.initial_dictionary = lambda: A0
+    as_matrix = linalg.as_matrix
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(np.shape(args[0]))
+        return as_matrix(*args, **kwargs)
+
+    for info in pkgutil.iter_modules(sparsecp.__path__):
+        module = importlib.import_module(f"sparsecp.{info.name}")
+        if getattr(module, "as_matrix", None) is as_matrix:
+            monkeypatch.setattr(module, "as_matrix", counted)
+    res = run_online(cfg, source)
+    assert res.iterations == 3 and min(r.p for r in res.records) > 0
+    assert len(calls) <= res.iterations + 1, calls
 
 
 # file sources ------------------------------------------------------------

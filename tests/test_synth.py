@@ -3,8 +3,8 @@ import math
 import numpy as np
 import pytest
 
+from oracles import closeness_check, incoherence
 from sparsecp.linalg import column_norms
-from sparsecp.metrics import closeness_check, incoherence
 from sparsecp.synth import (
     Distribution,
     SparsityParams,

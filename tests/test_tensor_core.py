@@ -220,6 +220,14 @@ def test_fiber_sample_validates():
         FiberSample((3, 2, 4), cmap, np.zeros((3, 2)))
     with pytest.raises(ValueError, match=r"values of shape \(3, 3\)"):
         FiberSample((3, 2, 3), cmap, np.zeros((3, 3)))
+    # the one check per sample: a bad value fails where the sample is built
+    for bad in (np.nan, np.inf):
+        Y = np.ones((3, 2))
+        Y[2, 1] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            FiberSample((3, 2, 3), cmap, Y)
+    s = FiberSample((3, 2, 3), cmap, [[1, 2], [3, 4], [5, 6]])
+    assert s.Y.dtype == np.float64 and s.Y.shape == (3, 2)
 
 
 # independent columns -----------------------------------------------------

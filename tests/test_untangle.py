@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from sparsecp.linalg import column_norms, rank1_svd, spectral_norm
+from oracles import spectral_norm
+from sparsecp.linalg import column_norms, rank1_svd
 from sparsecp.tensor_core import extract_nonzero_columns, khatri_rao_transpose
 from sparsecp.untangle import untangle_codes, untangle_krp
 
