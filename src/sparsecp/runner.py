@@ -409,7 +409,10 @@ def run_online(cfg: SolverConfig, source: TensorSource | None = None) -> RunResu
         iterations = t + 1
 
         Y, live = extract_nonzero_columns(sample.Y, cfg.zero_tol)
-        cmap = ColumnIndexMap(J * K, sample.cmap.kept[live.kept])
+        if live.p == sample.cmap.p:
+            cmap = sample.cmap  # nothing dropped: Y is sample.Y, uncopied
+        else:
+            cmap = ColumnIndexMap(J * K, sample.cmap.kept[live.kept])
         p = cmap.p
         indep_pos = np.flatnonzero(np.isin(cmap.kept, indep, assume_unique=True))
         p_indep = int(indep_pos.size)
@@ -418,7 +421,10 @@ def run_online(cfg: SolverConfig, source: TensorSource | None = None) -> RunResu
             Xh = iht(A, Y, None, ihtp)
         except IhtDivergenceError as exc:
             raise RuntimeError(f"Sparse coding failed at iteration {t}: {exc}") from exc
-        unf = untangle_codes(Xh, cmap, J, K)
+        try:
+            unf = untangle_codes(Xh, cmap, J, K)
+        except ValueError as exc:
+            raise RuntimeError(f"Untangle failed at iteration {t}: {exc}") from exc
 
         if cfg.sample_mode is SampleMode.INDEPENDENT_ONLY:
             sel = indep_pos
@@ -434,41 +440,44 @@ def run_online(cfg: SolverConfig, source: TensorSource | None = None) -> RunResu
         else:
             A_new = A  # no usable samples; skip the update, keep logging
 
-        fit = data_fit(Y, A, Xh) if p > 0 else 0.0
+        try:
+            fit = data_fit(Y, A, Xh) if p > 0 else 0.0
 
-        if gt is not None:
-            align = match_columns(A_new, gt.A)
-            colerrs = column_errors(A_new, gt.A, align)
-            err_A_max = colerrs.max_err
-            err_A_relF = rel_frobenius(align_columns(A_new, align), gt.A)
-            X_star = khatri_rao_columns(gt.B, gt.C, cmap)
-            if p > 0:
-                X_al = align_rows(Xh, align)
-                err_X_relF = rel_frobenius(X_al, X_star)
-                ss_ok = signed_support_equal(X_al, X_star)
+            if gt is not None:
+                align = match_columns(A_new, gt.A)
+                colerrs = column_errors(A_new, gt.A, align)
+                err_A_max = colerrs.max_err
+                err_A_relF = rel_frobenius(align_columns(A_new, align), gt.A)
+                X_star = khatri_rao_columns(gt.B, gt.C, cmap)
+                if p > 0:
+                    X_al = align_rows(Xh, align)
+                    err_X_relF = rel_frobenius(X_al, X_star)
+                    ss_ok = signed_support_equal(X_al, X_star)
+                else:
+                    err_X_relF = 0.0
+                    ss_ok = True
+                err_B_max = float(normalized_column_errors(unf.B, gt.B, align).max())
+                err_C_max = float(normalized_column_errors(unf.C, gt.C, align).max())
+                if g is not None:
+                    used = (Xh[:, sel] != 0.0).any(axis=1)
+                    min_corr = _min_descent_correlation(g, A, gt.A, align, used, cfg.eps_T)
+                else:
+                    min_corr = 0.0
+                should_stop = err_A_max <= cfg.eps_T
             else:
+                movement = float(np.linalg.norm(A_new - A))
+                err_A_max = movement
+                err_A_relF = movement / float(np.linalg.norm(A))
                 err_X_relF = 0.0
                 ss_ok = True
-            err_B_max = float(normalized_column_errors(unf.B, gt.B, align).max())
-            err_C_max = float(normalized_column_errors(unf.C, gt.C, align).max())
-            if g is not None:
-                used = (Xh[:, sel] != 0.0).any(axis=1)
-                min_corr = _min_descent_correlation(g, A, gt.A, align, used, cfg.eps_T)
-            else:
+                err_B_max = 0.0
+                err_C_max = 0.0
                 min_corr = 0.0
-            should_stop = err_A_max <= cfg.eps_T
-        else:
-            movement = float(np.linalg.norm(A_new - A))
-            err_A_max = movement
-            err_A_relF = movement / float(np.linalg.norm(A))
-            err_X_relF = 0.0
-            ss_ok = True
-            err_B_max = 0.0
-            err_C_max = 0.0
-            min_corr = 0.0
-            # all-zero codes give a zero gradient: no movement, but nothing learned
-            learned = g is not None and bool(Xh[:, sel].any())
-            should_stop = learned and movement <= cfg.eps_T
+                # all-zero codes give a zero gradient: no movement, but nothing learned
+                learned = g is not None and bool(Xh[:, sel].any())
+                should_stop = learned and movement <= cfg.eps_T
+        except ValueError as exc:
+            raise RuntimeError(f"Metrics failed at iteration {t}: {exc}") from exc
 
         wall_ms = (time.perf_counter() - tick) * 1000.0
         record = IterationRecord(

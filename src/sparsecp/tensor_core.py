@@ -140,7 +140,9 @@ def cp_fibers(A, B, C) -> FiberSample:
     Fiber (j, k) is A (B[j] * C[k])^T, so it can be non-zero only where
     some atom r has B[j, r] != 0 and C[k, r] != 0: kept is the union of
     those support pairs, and nothing of size J*K is built. The factors
-    are trusted: finite float64 matrices with equal column counts.
+    are trusted: finite float64 matrices with equal column counts. The
+    values are formed as (S^T A^T)^T, so they come out column-major and
+    the sample takes them without a copy.
     """
     J, K = B.shape[0], C.shape[0]
     pairs = [
@@ -148,22 +150,28 @@ def cp_fibers(A, B, C) -> FiberSample:
         for r in range(A.shape[1])
     ]
     cmap = ColumnIndexMap(J * K, np.unique(np.concatenate(pairs)))
-    return FiberSample((A.shape[0], J, K), cmap, A @ khatri_rao_columns(B, C, cmap))
+    Y = (khatri_rao_columns(B, C, cmap).T @ A.T).T
+    return FiberSample((A.shape[0], J, K), cmap, Y)
 
 
 def extract_nonzero_columns(
     Z1T, zero_tol: float = 0.0
 ) -> tuple[np.ndarray, ColumnIndexMap]:
-    """Return the columns with max abs entry > zero_tol, plus their index map."""
+    """Return the columns with max abs entry > zero_tol, plus their index map.
+
+    When no column is dropped the returned matrix is Z1T itself, not a copy.
+    """
     if zero_tol < 0.0:
         raise ValueError(f"zero_tol must be >= 0, got {zero_tol}")
     if Z1T.shape[1] == 0:
-        return Z1T.copy(), ColumnIndexMap(0, np.empty(0, dtype=np.int64))
+        return Z1T, ColumnIndexMap(0, np.empty(0, dtype=np.int64))
     # Columnwise max |entry| without materializing |Z1T|.
     peak = np.maximum(Z1T.max(axis=0), -Z1T.min(axis=0))
     kept = np.flatnonzero(peak > zero_tol).astype(np.int64)
-    Y = np.asfortranarray(Z1T[:, kept])
-    return Y, ColumnIndexMap(Z1T.shape[1], kept)
+    cmap = ColumnIndexMap(Z1T.shape[1], kept)
+    if kept.size == Z1T.shape[1]:
+        return Z1T, cmap
+    return np.asfortranarray(Z1T[:, kept]), cmap
 
 
 def scatter_columns(Xhat, cmap: ColumnIndexMap) -> np.ndarray:

@@ -13,10 +13,12 @@ in-memory records and in the stdout summary.
 
 from __future__ import annotations
 
+import itertools
 import math
 import os
+import warnings
 from dataclasses import replace
-from typing import Sequence
+from typing import NoReturn, Sequence
 
 import numpy as np
 
@@ -47,62 +49,118 @@ def _strip_comment(line: str) -> str:
     return line.split("#", 1)[0].strip()
 
 
+_ENTRY = np.dtype([("i", "i8"), ("j", "i8"), ("k", "i8"), ("v", "f8")])
+
+
+def _read_header(fh, path) -> tuple[tuple[int, int, int], int]:
+    """Read fh up to its first significant line; return the shape and that line's number."""
+    for lineno, rawline in enumerate(fh, start=1):
+        text = _strip_comment(rawline)
+        if not text:
+            continue
+        tokens = text.split()
+        if tokens[0] != "TNSR3" or len(tokens) != 4:
+            raise ValueError(
+                f"{path}:{lineno}: expected header 'TNSR3 <n> <J> <K>', got {text!r}"
+            )
+        try:
+            shape = tuple(int(tok) for tok in tokens[1:])
+        except ValueError:
+            raise ValueError(f"{path}:{lineno}: non-integer dimension in header {text!r}")
+        if any(d < 1 for d in shape):
+            raise ValueError(f"{path}:{lineno}: dimensions must be >= 1, got {shape}")
+        n, J, K = shape
+        if n * J * K >= 2**63:
+            raise ValueError(f"{path}:{lineno}: shape {shape} is too large to index")
+        return shape, lineno
+    raise ValueError(f"{path}: empty file, expected a TNSR3 header")
+
+
+def _check_entry(path, lineno: int, text: str, shape, seen: set[int]) -> None:
+    """Apply the entry-line rules to one significant line; raise on the first broken one.
+
+    seen holds the flat indices of the entries before this line.
+    """
+    n, J, K = shape
+    tokens = text.split()
+    if len(tokens) != 4:
+        raise ValueError(f"{path}:{lineno}: expected '<i> <j> <k> <value>', got {text!r}")
+    try:
+        if not all(tok.isascii() and "_" not in tok for tok in tokens):
+            raise ValueError
+        i, j, k = (int(tok) for tok in tokens[:3])
+        value = float(tokens[3])
+    except ValueError:
+        raise ValueError(f"{path}:{lineno}: malformed entry {text!r}")
+    if not math.isfinite(value):
+        raise ValueError(f"{path}:{lineno}: non-finite value {tokens[3]}")
+    if not (1 <= i <= n and 1 <= j <= J and 1 <= k <= K):
+        raise ValueError(
+            f"{path}:{lineno}: index ({i}, {j}, {k}) outside 1-based shape {shape}"
+        )
+    flat = ((k - 1) * J + j - 1) * n + i - 1
+    if flat in seen:
+        raise ValueError(f"{path}:{lineno}: duplicate coordinate ({i}, {j}, {k})")
+    seen.add(flat)
+
+
+def _raise_first_bad_line(path) -> NoReturn:
+    """Walk the file line by line and raise the error of its first bad line."""
+    seen: set[int] = set()
+    with open(path, encoding="utf-8") as fh:
+        shape, head = _read_header(fh, path)
+        for lineno, rawline in enumerate(fh, start=head + 1):
+            text = _strip_comment(rawline)
+            if text:
+                _check_entry(path, lineno, text, shape, seen)
+    raise RuntimeError(
+        f"{path}: the bulk reader rejected the file, but no line breaks the TNSR3 rules"
+    )
+
+
 def ingest_tensor(path) -> FiberSample:
     """Parse a TNSR3 file into a FiberSample of its non-zero mode-1 fibers.
 
     Format: first significant line `TNSR3 <n> <J> <K>`, then
-    `<i> <j> <k> <value>` lines with 1-based indices. `#` starts a
-    comment, unlisted entries are zero, repeating a coordinate is an
-    error. All parse errors carry the 1-based line number. Entries are
-    grouped by fiber (j, k); a fiber whose listed values are all zero is
-    not kept. Memory follows the listed entries, not n*J*K.
+    `<i> <j> <k> <value>` lines with 1-based indices, separated by
+    whitespace. `#` starts a comment, unlisted entries are zero,
+    repeating a coordinate is an error. An index is an ASCII decimal
+    integer with an optional sign (`7`, `+7`, `007`); a value is an
+    ASCII decimal float as Python's float() reads it (`2`, `-0.5`,
+    `.5`, `1e-3`), and must be finite. Underscores, non-ASCII digits,
+    hexadecimal and `1.0` as an index are malformed. All parse errors
+    carry the 1-based line number. Entries are grouped by fiber (j, k);
+    a fiber whose listed values are all zero is not kept. Memory follows
+    the listed entries, not n*J*K.
+
+    The entry lines are parsed in one np.loadtxt call and checked as a
+    whole; only a rejected file is walked again line by line, to name
+    its first bad line.
     """
-    shape = None
-    entries: dict[int, float] = {}  # flat index (k*J + j)*n + i -> value
     with open(path, encoding="utf-8") as fh:
-        for lineno, rawline in enumerate(fh, start=1):
-            text = _strip_comment(rawline)
-            if not text:
-                continue
-            tokens = text.split()
-            if shape is None:
-                if tokens[0] != "TNSR3" or len(tokens) != 4:
-                    raise ValueError(
-                        f"{path}:{lineno}: expected header 'TNSR3 <n> <J> <K>', got {text!r}"
+        shape, _ = _read_header(fh, path)
+        try:
+            first = next((line for line in fh if _strip_comment(line)), None)
+            if first is None:
+                rec = np.empty(0, dtype=_ENTRY)  # header only: loadtxt would warn
+            else:
+                with warnings.catch_warnings():
+                    warnings.simplefilter("error")
+                    rec = np.loadtxt(
+                        itertools.chain([first], fh), dtype=_ENTRY, comments="#", ndmin=1
                     )
-                try:
-                    shape = tuple(int(tok) for tok in tokens[1:])
-                except ValueError:
-                    raise ValueError(f"{path}:{lineno}: non-integer dimension in header {text!r}")
-                if any(d < 1 for d in shape):
-                    raise ValueError(f"{path}:{lineno}: dimensions must be >= 1, got {shape}")
-                n, J, K = shape
-                if n * J * K >= 2**63:
-                    raise ValueError(f"{path}:{lineno}: shape {shape} is too large to index")
-                continue
-            if len(tokens) != 4:
-                raise ValueError(
-                    f"{path}:{lineno}: expected '<i> <j> <k> <value>', got {text!r}"
-                )
-            try:
-                i, j, k = (int(tok) for tok in tokens[:3])
-                value = float(tokens[3])
-            except ValueError:
-                raise ValueError(f"{path}:{lineno}: malformed entry {text!r}")
-            if not math.isfinite(value):
-                raise ValueError(f"{path}:{lineno}: non-finite value {tokens[3]}")
-            if not (1 <= i <= n and 1 <= j <= J and 1 <= k <= K):
-                raise ValueError(
-                    f"{path}:{lineno}: index ({i}, {j}, {k}) outside 1-based shape {shape}"
-                )
-            flat = ((k - 1) * J + j - 1) * n + i - 1
-            if flat in entries:
-                raise ValueError(f"{path}:{lineno}: duplicate coordinate ({i}, {j}, {k})")
-            entries[flat] = value
-    if shape is None:
-        raise ValueError(f"{path}: empty file, expected a TNSR3 header")
-    key = np.fromiter(entries.keys(), dtype=np.int64, count=len(entries))
-    vals = np.fromiter(entries.values(), dtype=np.float64, count=len(entries))
+        except (ValueError, Warning):
+            _raise_first_bad_line(path)
+    n, J, K = shape
+    i, j, k, vals = rec["i"], rec["j"], rec["k"], rec["v"]
+    key = ((k - 1) * J + j - 1) * n + i - 1
+    ordered = np.sort(key)
+    if not (
+        np.isfinite(vals).all()
+        and ((i >= 1) & (i <= n) & (j >= 1) & (j <= J) & (k >= 1) & (k <= K)).all()
+        and (ordered[1:] != ordered[:-1]).all()
+    ):
+        _raise_first_bad_line(path)
     key, vals = key[vals != 0.0], vals[vals != 0.0]
     fiber = key // n
     kept, col = np.unique(fiber, return_inverse=True)

@@ -1,7 +1,10 @@
+import re
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from sparsecp.runner import (
     FileSource,
@@ -136,6 +139,174 @@ def test_ingest_errors_carry_line_numbers(tmp_path):
             ingest_tensor(tensor_file(tmp_path, body))
     with pytest.raises(ValueError, match="empty file"):
         ingest_tensor(tensor_file(tmp_path, "# only comments\n\n"))
+
+
+# Every body holds the entries 5.0 at (1, 1, 1) and -1.5 at (2, 3, 4), shape (2, 3, 4).
+LAYOUT_VARIANTS = {
+    "plain": "TNSR3 2 3 4\n1 1 1 5.0\n2 3 4 -1.5\n",
+    "trailing comments": "TNSR3 2 3 4 # shape\n1 1 1 5.0 # first\n2 3 4 -1.5#last\n",
+    "crlf": "TNSR3 2 3 4\r\n1 1 1 5.0\r\n# note\r\n2 3 4 -1.5\r\n",
+    "tabs": "TNSR3\t2\t3\t4\n1\t1\t1\t5.0\n 2 \t3\t\t4   -1.5\t\n",
+    "blank last line": "TNSR3 2 3 4\n1 1 1 5.0\n2 3 4 -1.5\n\n",
+    "whitespace last line": "TNSR3 2 3 4\n1 1 1 5.0\n2 3 4 -1.5\n  \t",
+    "no final newline": "TNSR3 2 3 4\n1 1 1 5.0\n2 3 4 -1.5",
+    "comments between": "# head\n\nTNSR3 2 3 4\n# a\n\n1 1 1 5.0\n   # b\n2 3 4 -1.5\n# c\n",
+    "number syntax": "TNSR3 2 3 4\n+1 001 1 5\n2 3 +4 -15e-1\n",
+}
+
+EMPTY_VARIANTS = {
+    "header only": "TNSR3 2 3 4\n",
+    "header, no newline": "TNSR3 2 3 4",
+    "header and comments": "TNSR3 2 3 4\n# only comments\n\n   \n# more\n",
+    "crlf header and comment": "# c\r\nTNSR3 2 3 4\r\n# c\r\n\r\n",
+}
+
+
+@pytest.mark.parametrize("name", sorted(LAYOUT_VARIANTS))
+def test_ingest_layout_variants(tmp_path, name):
+    path = tmp_path / "t.tnsr"
+    path.write_bytes(LAYOUT_VARIANTS[name].encode("utf-8"))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        s = ingest_tensor(path)
+    assert s.shape == (2, 3, 4)
+    assert np.array_equal(s.cmap.kept, [0, 11])
+    assert s.Y.flags.f_contiguous
+    assert np.array_equal(s.Y, [[5.0, 0.0], [0.0, -1.5]])
+
+
+@pytest.mark.parametrize("name", sorted(EMPTY_VARIANTS))
+def test_ingest_entry_free_files_are_zero_tensors(tmp_path, name):
+    path = tmp_path / "t.tnsr"
+    path.write_bytes(EMPTY_VARIANTS[name].encode("utf-8"))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        s = ingest_tensor(path)
+    assert s.shape == (2, 3, 4)
+    assert s.cmap.p == 0 and s.cmap.total_cols == 12 and s.Y.shape == (2, 0)
+
+
+@st.composite
+def tnsr3_texts(draw, min_entries=0):
+    """A valid TNSR3 file in a random layout: (lines, newline, shape, Z, entry_lines).
+
+    Z is the dense tensor the file describes; entry_lines maps each entry
+    to its 0-based position in lines.
+    """
+    shape = (draw(st.integers(max(min_entries, 1), 4)), draw(st.integers(1, 4)),
+             draw(st.integers(1, 4)))
+    n, J, K = shape
+    flats = draw(st.lists(st.integers(0, n * J * K - 1), min_size=min_entries,
+                          max_size=12, unique=True))
+    sep = st.sampled_from([" ", "\t", "  ", " \t "])
+    index = lambda v: draw(st.sampled_from([str(v), f"+{v}", f"00{v}"]))
+    value = st.one_of(
+        st.just(0.0), st.just(-0.0), st.floats(allow_nan=False, allow_infinity=False)
+    )
+    filler = st.sampled_from(["", "   ", "# comment", "\t# 1 1 1 x"])
+    Z = np.zeros(shape)
+    lines = draw(st.lists(filler, max_size=2)) + [f"TNSR3{draw(sep)}{n} {J} {K}"]
+    entry_lines = []
+    for flat in flats:
+        i, j, k = np.unravel_index(flat, shape, order="F")
+        v = draw(value)
+        text = draw(st.sampled_from([repr(v), f"{v:.17e}", f"{v:.17g}"]))
+        Z[i, j, k] = float(text)
+        tokens = [index(i + 1), index(j + 1), index(k + 1), text]
+        line = draw(sep).join(tokens) + draw(st.sampled_from(["", " ", " # note", "#x"]))
+        lines += draw(st.lists(filler, max_size=1))
+        entry_lines.append(len(lines))
+        lines.append(line)
+    lines += draw(st.lists(filler, max_size=2))
+    newline = draw(st.sampled_from(["\n", "\r\n"]))
+    return lines, newline, shape, Z, entry_lines
+
+
+def write_lines(tmp_path, lines, newline, end=True):
+    path = tmp_path / "fuzz.tnsr"
+    path.write_bytes((newline.join(lines) + (newline if end else "")).encode("utf-8"))
+    return path
+
+
+@settings(max_examples=80, deadline=None)
+@given(tnsr3_texts(), st.booleans())
+def test_ingest_random_valid_file_matches_dense_reference(tmp_path_factory, text, end):
+    lines, newline, shape, Z, _ = text
+    path = write_lines(tmp_path_factory.mktemp("ok"), lines, newline, end)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        s = ingest_tensor(path)
+    kept, Y = nonzero_fibers(Z)
+    assert s.shape == shape
+    assert np.array_equal(s.cmap.kept, kept)
+    assert np.array_equal(s.Y, Y)
+
+
+BAD_INDEX = ["x", "1.0", "1e0", "0x1", "--1", "1-", "\uff11", "\u0661"]
+BAD_VALUE = ["x", "1..0", "0x1p3", "--1", "1,5", "1.0.0", "\uff11.0", "1e"]
+NON_FINITE = ["nan", "NaN", "-nan", "inf", "-inf", "Infinity", "1e999", "-1e400"]
+INT64_OVERFLOW = ["9223372036854775808", "-9223372036854775809", "1" + "0" * 30]
+
+
+def test_ingest_rejects_each_bad_token_on_its_line(tmp_path):
+    # every listed token, in every slot it is bad in, on the last of three entries
+    cases = [(slot, tok, "malformed entry") for tok in BAD_INDEX + ["1_0"] for slot in range(3)]
+    cases += [(3, tok, "malformed entry") for tok in BAD_VALUE + ["1_0", "1_0.5", "1e1_0"]]
+    cases += [(3, tok, "non-finite value") for tok in NON_FINITE]
+    cases += [(slot, tok, "outside 1-based shape") for tok in INT64_OVERFLOW for slot in range(3)]
+    for slot, tok, expect in cases:
+        tokens = ["2", "2", "2", "1.5"]
+        tokens[slot] = tok
+        body = "TNSR3 2 2 2\n1 1 1 1.0\n# note\n2 1 1 -1.0\n" + " ".join(tokens) + "\n"
+        with pytest.raises(ValueError, match=f":5: .*{re.escape(expect)}"):
+            ingest_tensor(tensor_file(tmp_path, body))
+
+
+@settings(max_examples=150, deadline=None)
+@given(tnsr3_texts(min_entries=2), st.data())
+def test_ingest_random_corruption_names_its_line(tmp_path_factory, text, data):
+    lines, newline, shape, _, entry_lines = text
+    pos = data.draw(st.integers(1, len(entry_lines) - 1))
+    row = entry_lines[pos]
+    tokens = lines[row].split("#")[0].split()
+    kind = data.draw(st.sampled_from(
+        ["arity", "bad token", "underscore", "non-finite", "range", "overflow", "duplicate"]
+    ))
+    slot = data.draw(st.integers(0, 2))
+    if kind == "arity":
+        tokens = data.draw(st.sampled_from([tokens[:3], tokens[:2], tokens + ["1"]]))
+        expect = "expected '<i> <j> <k> <value>'"
+    elif kind == "bad token":
+        if data.draw(st.booleans()):
+            tokens[slot] = data.draw(st.sampled_from(BAD_INDEX))
+        else:
+            tokens[3] = data.draw(st.sampled_from(BAD_VALUE))
+        expect = "malformed entry"
+    elif kind == "underscore":
+        if data.draw(st.booleans()):
+            tokens[slot] = "1_0"
+        else:
+            tokens[3] = data.draw(st.sampled_from(["1_0", "1_0.5", "1.0_5", "1e1_0"]))
+        expect = "malformed entry"
+    elif kind == "non-finite":
+        tokens[3] = data.draw(st.sampled_from(NON_FINITE))
+        expect = "non-finite value"
+    elif kind == "range":
+        tokens[slot] = data.draw(st.sampled_from(["0", "-1", str(shape[slot] + 1)]))
+        expect = "outside 1-based shape"
+    elif kind == "overflow":
+        tokens[slot] = data.draw(st.sampled_from(INT64_OVERFLOW))
+        expect = "outside 1-based shape"
+    else:
+        earlier = lines[entry_lines[data.draw(st.integers(0, pos - 1))]]
+        tokens = earlier.split("#")[0].split()[:3] + [tokens[3]]
+        expect = "duplicate coordinate"
+    lines = lines.copy()
+    lines[row] = " ".join(tokens)
+    path = write_lines(tmp_path_factory.mktemp("bad"), lines, newline)
+    # a RuntimeError here would be a bulk rejection the line checker cannot name
+    with pytest.raises(ValueError, match=f":{row + 1}: .*{re.escape(expect)}"):
+        ingest_tensor(path)
 
 
 # preprocessing -----------------------------------------------------------

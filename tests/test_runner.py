@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import sparsecp
-from sparsecp import linalg
+from sparsecp import linalg, runner, untangle
 from sparsecp.dict_update import SampleMode
 from sparsecp.runner import (
     ETA_A_PRESETS,
@@ -21,6 +21,7 @@ from sparsecp.runner import (
 from sparsecp.sparse_coding import IhtDivergenceError
 from sparsecp.synth import (
     Distribution,
+    GroundTruth,
     SparsityParams,
     child_seed,
     gen_dictionary,
@@ -315,6 +316,68 @@ def test_coding_failure_names_iteration():
     with pytest.raises(RuntimeError, match="Sparse coding failed at iteration 0") as err:
         run_online(cfg, source=DuplicateAtomSource(cfg))
     assert isinstance(err.value.__cause__, IhtDivergenceError)
+
+
+class WrongTruthSource(SyntheticSource):
+    """From iteration 1 on, the ground truth's dictionary has a row too few."""
+
+    def instance(self, t):
+        sample, gt = super().instance(t)
+        if t >= 1:
+            gt = GroundTruth(gt.A[1:], gt.B, gt.C)
+        return sample, gt
+
+
+def test_metrics_failure_names_iteration():
+    cfg = cfg_small(T_max=3)
+    with pytest.raises(RuntimeError, match="Metrics failed at iteration 1: Shape mismatch") as err:
+        run_online(cfg, source=WrongTruthSource(cfg))
+    assert isinstance(err.value.__cause__, ValueError)
+
+
+def test_untangle_failure_names_iteration(monkeypatch):
+    cfg = cfg_small(T_max=4)
+    source = SyntheticSource(cfg)
+    seen = []
+    draw = source.instance
+    source.instance = lambda t: seen.append(t) or draw(t)
+    rank1_svd = untangle.rank1_svd
+
+    def failing(M):
+        if seen[-1] == 2:
+            raise np.linalg.LinAlgError("SVD did not converge")
+        return rank1_svd(M)
+
+    monkeypatch.setattr(untangle, "rank1_svd", failing)
+    with pytest.raises(RuntimeError, match="Untangle failed at iteration 2: SVD did not") as err:
+        run_online(cfg, source=source)
+    assert isinstance(err.value.__cause__, np.linalg.LinAlgError)
+
+
+def test_loop_takes_sample_uncopied_when_nothing_is_dropped(monkeypatch):
+    cfg = cfg_small(T_max=2)
+    samples = planted_tensors(cfg, 2)
+    seen = []
+    untangle_codes = runner.untangle_codes
+
+    def spy(X, cmap, J, K):
+        seen.append(cmap)
+        return untangle_codes(X, cmap, J, K)
+
+    monkeypatch.setattr(runner, "untangle_codes", spy)
+    run_online(cfg, FileSource(cfg, samples))
+    assert [c is s.cmap for c, s in zip(seen, samples)] == [True, True]
+
+    # a zero_tol that drops fibers gives a map of the kept ones
+    Y = samples[0].Y
+    peak = np.abs(Y).max(axis=0)
+    tol = float(np.median(peak))
+    cfg = cfg_small(T_max=1, zero_tol=tol)
+    seen.clear()
+    res = run_online(cfg, FileSource(cfg, samples[:1]))
+    assert seen[0] is not samples[0].cmap
+    assert np.array_equal(seen[0].kept, samples[0].cmap.kept[peak > tol])
+    assert res.records[0].p == int((peak > tol).sum())
 
 
 # config resolution -------------------------------------------------------

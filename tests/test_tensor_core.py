@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from sparsecp import tensor_core
 from sparsecp.synth import gen_dictionary, gen_sparse_factor
 from sparsecp.tensor_core import (
     ColumnIndexMap,
@@ -125,9 +126,11 @@ def test_extract_all_zero():
 
 
 def test_extract_keeps_everything_when_dense():
-    Y, cmap = extract_nonzero_columns(np.array([[11.0, 12.0, 21.0, 22.0]]), 0.0)
+    M = np.array([[11.0, 12.0, 21.0, 22.0]])
+    Y, cmap = extract_nonzero_columns(M, 0.0)
     assert np.array_equal(cmap.kept, [0, 1, 2, 3])
     assert np.array_equal(Y, [[11.0, 12.0, 21.0, 22.0]])
+    assert Y is M  # nothing dropped: no copy
 
 
 def test_extract_drops_exact_zero_columns():
@@ -205,6 +208,20 @@ def test_cp_fibers_match_dense_reference(alpha, n, J, K, m):
         assert np.max(np.abs(s.Y - Y)) <= 1e-15
         kept, _ = nonzero_fibers(cp_compose(A, B, C))
         assert np.array_equal(s.cmap.kept, kept)
+
+
+def test_cp_fibers_values_reach_the_sample_column_major(monkeypatch):
+    # FiberSample's as_matrix then takes them without a transposing copy
+    as_matrix = tensor_core.as_matrix
+    seen = []
+
+    def spy(values, *args, **kwargs):
+        seen.append(values.flags.f_contiguous)
+        return as_matrix(values, *args, **kwargs)
+
+    monkeypatch.setattr(tensor_core, "as_matrix", spy)
+    s = cp_fibers(*small_factors(3))
+    assert seen == [True] and s.Y.flags.f_contiguous
 
 
 def test_khatri_rao_columns_are_the_kept_columns():
