@@ -1,7 +1,8 @@
 """Dictionary update stage: empirical gradient, descent step, renormalization.
 
-The gradient is one product over all selected sample columns. Both
-kernels take float64 arrays as given; they check shapes and the
+The gradient is one product of the selected columns' residual
+A X - Y, formed once per sample by the caller, with their code signs.
+Both kernels take float64 arrays as given; they check shapes and the
 gradient's finiteness, nothing entrywise on their inputs.
 """
 
@@ -41,23 +42,21 @@ class SampleMode(enum.Enum):
         return aliases[key]
 
 
-def gradient(A, Xsel, Ysel) -> np.ndarray:
-    """Return (1/p') (A Xsel - Ysel) sign(Xsel)^T with sign(0) = 0.
+def gradient(R, Xsel) -> np.ndarray:
+    """Return (1/p') R sign(Xsel)^T with sign(0) = 0.
 
-    Xsel/Ysel are the columns already selected per sample_mode; p' = 0 is
-    an error, the caller skips the update for that iteration instead.
+    Xsel holds the codes of the columns selected per sample_mode and R
+    their residual A Xsel - Ysel, which the caller forms once and shares
+    with data_fit. p' = 0 is an error; the caller skips the update for
+    that iteration instead.
     """
-    n, m = A.shape
-    p = Xsel.shape[1]
+    n, p = R.shape
     if p == 0:
         raise ValueError("gradient needs at least one sample column (p' = 0)")
-    if Xsel.shape[0] != m or Ysel.shape != (n, p):
-        raise ValueError(
-            f"Shape mismatch: A {n}x{m}, Xsel {Xsel.shape[0]}x{p}, "
-            f"Ysel {Ysel.shape[0]}x{Ysel.shape[1]}"
-        )
+    if Xsel.shape[1] != p:
+        raise ValueError(f"Shape mismatch: R {n}x{p}, Xsel {Xsel.shape[0]}x{Xsel.shape[1]}")
 
-    g = (A @ Xsel - Ysel) @ np.sign(Xsel).T / p
+    g = R @ np.sign(Xsel).T / p
     if not np.all(np.isfinite(g)):
         raise ValueError("Gradient has non-finite entries")
     return g

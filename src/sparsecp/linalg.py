@@ -94,6 +94,17 @@ def _fix_sign(u: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return u, v
 
 
+def _principal_triple(M: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
+    """Return (sigma1, u1, v1) of M by one LAPACK SVD, u1 signed by the convention.
+
+    M has no zero row or column; rank1_svd and untangle_codes build such
+    blocks.
+    """
+    U, s, Vt = np.linalg.svd(M, full_matrices=False)
+    u, v = _fix_sign(U[:, 0], Vt[0])
+    return float(s[0]), u, v
+
+
 def rank1_svd(M: np.ndarray) -> Rank1Svd:
     """Return the principal singular triple of the float64 matrix M by a LAPACK SVD.
 
@@ -111,8 +122,5 @@ def rank1_svd(M: np.ndarray) -> Rank1Svd:
         v[0] = 1.0
         return Rank1Svd(0.0, u, v)
     cols = np.flatnonzero(M[rows].any(axis=0))
-    U, s, Vt = np.linalg.svd(M[np.ix_(rows, cols)], full_matrices=False)
-    u[rows] = U[:, 0]
-    v[cols] = Vt[0]
-    u, v = _fix_sign(u, v)
-    return Rank1Svd(float(s[0]), u, v)
+    sigma1, u[rows], v[cols] = _principal_triple(M[np.ix_(rows, cols)])
+    return Rank1Svd(sigma1, u, v)

@@ -4,7 +4,9 @@ Estimated factors are only defined up to a column permutation and signs,
 so every comparison first computes a greedy sign/permutation alignment
 and then measures errors on the aligned columns. Every function takes
 float64 2-D arrays as given: shapes are checked, entries are not (the
-online loop calls these on arrays it built itself).
+online loop calls these on arrays it built itself). data_fit takes the
+residual A X - Y that the loop forms once for the gradient, so it runs
+no product of its own.
 """
 
 from __future__ import annotations
@@ -165,9 +167,13 @@ def signed_support_equal(X, X_ref) -> bool:
     return bool(np.array_equal(np.sign(X), np.sign(X_ref)))
 
 
-def data_fit(Y, A, X) -> float:
-    """Return ||Y - A X||_F / ||Y||_F."""
+def data_fit(Y, R) -> float:
+    """Return ||R||_F / ||Y||_F, where R = A X - Y is the sample's residual."""
+    if R.shape != Y.shape:
+        raise ValueError(
+            f"Shape mismatch: {R.shape[0]}x{R.shape[1]} vs {Y.shape[0]}x{Y.shape[1]}"
+        )
     denom = float(np.linalg.norm(Y))
     if denom == 0.0:
         raise ValueError("Y has zero Frobenius norm")
-    return float(np.linalg.norm(Y - A @ X)) / denom
+    return float(np.linalg.norm(R)) / denom

@@ -426,14 +426,17 @@ def run_online(cfg: SolverConfig, source: TensorSource | None = None) -> RunResu
         except ValueError as exc:
             raise RuntimeError(f"Untangle failed at iteration {t}: {exc}") from exc
 
+        # one residual of the pre-step dictionary feeds gradient and data_fit
+        R = A @ Xh
+        R -= Y
         if cfg.sample_mode is SampleMode.INDEPENDENT_ONLY:
-            sel = indep_pos
+            sel, p_sel = indep_pos, p_indep
         else:
-            sel = np.arange(p, dtype=np.int64)
+            sel, p_sel = slice(None), p  # every column, as views
         g = None
-        if sel.size > 0:
+        if p_sel > 0:
             try:
-                g = gradient(A, Xh[:, sel], Y[:, sel])
+                g = gradient(R[:, sel], Xh[:, sel])
                 A_new = step_and_normalize(A, g, eta_A)
             except ValueError as exc:
                 raise RuntimeError(f"Dictionary update failed at iteration {t}: {exc}") from exc
@@ -441,7 +444,7 @@ def run_online(cfg: SolverConfig, source: TensorSource | None = None) -> RunResu
             A_new = A  # no usable samples; skip the update, keep logging
 
         try:
-            fit = data_fit(Y, A, Xh) if p > 0 else 0.0
+            fit = data_fit(Y, R) if p > 0 else 0.0
 
             if gt is not None:
                 align = match_columns(A_new, gt.A)

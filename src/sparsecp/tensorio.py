@@ -13,7 +13,6 @@ in-memory records and in the stdout summary.
 
 from __future__ import annotations
 
-import itertools
 import math
 import os
 import warnings
@@ -138,16 +137,17 @@ def ingest_tensor(path) -> FiberSample:
     its first bad line.
     """
     with open(path, encoding="utf-8") as fh:
-        shape, _ = _read_header(fh, path)
+        shape, head = _read_header(fh, path)
         try:
-            first = next((line for line in fh if _strip_comment(line)), None)
-            if first is None:
+            if not any(_strip_comment(line) for line in fh):
                 rec = np.empty(0, dtype=_ENTRY)  # header only: loadtxt would warn
             else:
+                # a path, not a file object: numpy then reads in chunks in C
                 with warnings.catch_warnings():
                     warnings.simplefilter("error")
                     rec = np.loadtxt(
-                        itertools.chain([first], fh), dtype=_ENTRY, comments="#", ndmin=1
+                        path, dtype=_ENTRY, comments="#", skiprows=head, ndmin=1,
+                        encoding="utf-8",
                     )
         except (ValueError, Warning):
             _raise_first_bad_line(path)

@@ -187,12 +187,12 @@ def test_data_fit():
     A = rng.standard_normal((6, 4))
     X = rng.standard_normal((4, 9))
     Y = A @ X
-    assert data_fit(Y, A, X) <= 1e-15
-    assert data_fit(Y, A, np.zeros((4, 9))) == pytest.approx(1.0)
+    assert data_fit(Y, A @ X - Y) <= 1e-15
+    assert data_fit(Y, A @ np.zeros((4, 9)) - Y) == pytest.approx(1.0)
     # residual scales linearly, reference norm fixed
-    half = data_fit(Y, A, 0.5 * X)
-    tenth = data_fit(Y, A, 0.9 * X)
+    half = data_fit(Y, A @ (0.5 * X) - Y)
+    tenth = data_fit(Y, A @ (0.9 * X) - Y)
     assert half == pytest.approx(0.5)
     assert tenth == pytest.approx(0.1)
     with pytest.raises(ValueError):
-        data_fit(np.zeros((6, 9)), A, X)
+        data_fit(np.zeros((6, 9)), A @ X - np.zeros((6, 9)))

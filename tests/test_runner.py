@@ -202,6 +202,55 @@ def test_loop_validates_each_sample_once(monkeypatch):
     assert len(calls) <= res.iterations + 1, calls
 
 
+def test_iteration_peak_stays_within_three_samples():
+    # J = K = 1000 gives p of about 5k fibers; one n x p float64 array is
+    # about 80 MB, and the sample plus one residual fit under 3 of them
+    cfg = SolverConfig(
+        n=2000, J=1000, K=1000, m=50, alpha=0.01, beta=0.01, T_max=1, seed=1,
+    )
+    source = SyntheticSource(cfg)
+    A0 = source.initial_dictionary()
+    source.initial_dictionary = lambda: A0
+    tracemalloc.start()
+    try:
+        res = run_online(cfg, source)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    p = res.records[0].p
+    assert p > 1000
+    assert peak <= 3 * cfg.n * p * 8, peak / (cfg.n * p * 8)
+
+
+def test_all_nonzero_mode_passes_codes_and_residual_uncopied(monkeypatch):
+    cfg = cfg_small(T_max=3)
+    calls = []
+
+    def spy(name):
+        fn = getattr(runner, name)
+
+        def wrapped(*args):
+            calls.append((name, args))
+            return fn(*args)
+
+        return wrapped
+
+    for name in ("untangle_codes", "gradient", "data_fit"):
+        monkeypatch.setattr(runner, name, spy(name))
+    res = run_online(cfg)
+    assert min(r.p for r in res.records) > 0
+
+    def args_of(name):
+        return [args for nm, args in calls if nm == name]
+
+    untangled, grads, fits = args_of("untangle_codes"), args_of("gradient"), args_of("data_fit")
+    assert len(untangled) == len(grads) == len(fits) == cfg.T_max
+    for u, g, f in zip(untangled, grads, fits):
+        X, R, Xsel, Y, R_fit = u[0], g[0], g[1], f[0], f[1]
+        assert np.shares_memory(Xsel, X)
+        assert R_fit.shape == Y.shape and np.shares_memory(R_fit, R)
+
+
 # file sources ------------------------------------------------------------
 
 
@@ -341,14 +390,14 @@ def test_untangle_failure_names_iteration(monkeypatch):
     seen = []
     draw = source.instance
     source.instance = lambda t: seen.append(t) or draw(t)
-    rank1_svd = untangle.rank1_svd
+    principal_triple = untangle._principal_triple  # the SVD of each code row's block
 
     def failing(M):
         if seen[-1] == 2:
             raise np.linalg.LinAlgError("SVD did not converge")
-        return rank1_svd(M)
+        return principal_triple(M)
 
-    monkeypatch.setattr(untangle, "rank1_svd", failing)
+    monkeypatch.setattr(untangle, "_principal_triple", failing)
     with pytest.raises(RuntimeError, match="Untangle failed at iteration 2: SVD did not") as err:
         run_online(cfg, source=source)
     assert isinstance(err.value.__cause__, np.linalg.LinAlgError)
