@@ -13,8 +13,11 @@ in-memory records and in the stdout summary.
 
 from __future__ import annotations
 
+import io
+import itertools
 import math
 import os
+import stat
 import warnings
 from dataclasses import replace
 from typing import NoReturn, Sequence
@@ -103,10 +106,13 @@ def _check_entry(path, lineno: int, text: str, shape, seen: set[int]) -> None:
     seen.add(flat)
 
 
-def _raise_first_bad_line(path) -> NoReturn:
-    """Walk the file line by line and raise the error of its first bad line."""
+def _raise_first_bad_line(path, held: str | None) -> NoReturn:
+    """Walk the file line by line and raise the error of its first bad line.
+
+    held is the file's text when it was read into memory, else None.
+    """
     seen: set[int] = set()
-    with open(path, encoding="utf-8") as fh:
+    with open(path, encoding="utf-8") if held is None else io.StringIO(held) as fh:
         shape, head = _read_header(fh, path)
         for lineno, rawline in enumerate(fh, start=head + 1):
             text = _strip_comment(rawline)
@@ -114,6 +120,26 @@ def _raise_first_bad_line(path) -> NoReturn:
                 _check_entry(path, lineno, text, shape, seen)
     raise RuntimeError(
         f"{path}: the bulk reader rejected the file, but no line breaks the TNSR3 rules"
+    )
+
+
+# the suffixes np.loadtxt's file opener reads as compressed, whatever the bytes
+_COMPRESSED_SUFFIXES = (".gz", ".bz2", ".xz", ".lzma")
+
+
+def _reopenable(path) -> bool:
+    """True when np.loadtxt, given the name, reads the same text as open() did.
+
+    loadtxt opens a name again itself, picking a decompressor by suffix
+    and a download for a URL; a pipe or FIFO yields its bytes to one
+    reader only.
+    """
+    name = os.fspath(path)
+    return (
+        isinstance(name, str)
+        and "://" not in name
+        and not name.endswith(_COMPRESSED_SUFFIXES)
+        and stat.S_ISREG(os.stat(name).st_mode)
     )
 
 
@@ -134,23 +160,30 @@ def ingest_tensor(path) -> FiberSample:
 
     The entry lines are parsed in one np.loadtxt call and checked as a
     whole; only a rejected file is walked again line by line, to name
-    its first bad line.
+    its first bad line. A regular file goes to loadtxt by name, so numpy
+    reads it in chunks in C; any other input (a pipe, a name with a
+    compression suffix) is read into memory once and parsed from there.
     """
     with open(path, encoding="utf-8") as fh:
-        shape, head = _read_header(fh, path)
+        held = None if _reopenable(path) else fh.read()
+        src = fh if held is None else io.StringIO(held)
+        shape, head = _read_header(src, path)
         try:
-            if not any(_strip_comment(line) for line in fh):
+            first = next((line for line in src if _strip_comment(line)), None)
+            if first is None:
                 rec = np.empty(0, dtype=_ENTRY)  # header only: loadtxt would warn
             else:
-                # a path, not a file object: numpy then reads in chunks in C
+                lines, skip = (path, head) if held is None else (
+                    itertools.chain([first], src), 0
+                )
                 with warnings.catch_warnings():
                     warnings.simplefilter("error")
                     rec = np.loadtxt(
-                        path, dtype=_ENTRY, comments="#", skiprows=head, ndmin=1,
+                        lines, dtype=_ENTRY, comments="#", skiprows=skip, ndmin=1,
                         encoding="utf-8",
                     )
         except (ValueError, Warning):
-            _raise_first_bad_line(path)
+            _raise_first_bad_line(path, held)
     n, J, K = shape
     i, j, k, vals = rec["i"], rec["j"], rec["k"], rec["v"]
     key = ((k - 1) * J + j - 1) * n + i - 1
@@ -160,7 +193,7 @@ def ingest_tensor(path) -> FiberSample:
         and ((i >= 1) & (i <= n) & (j >= 1) & (j <= J) & (k >= 1) & (k <= K)).all()
         and (ordered[1:] != ordered[:-1]).all()
     ):
-        _raise_first_bad_line(path)
+        _raise_first_bad_line(path, held)
     key, vals = key[vals != 0.0], vals[vals != 0.0]
     fiber = key // n
     kept, col = np.unique(fiber, return_inverse=True)

@@ -1,4 +1,6 @@
+import os
 import re
+import threading
 import tracemalloc
 import warnings
 
@@ -307,6 +309,62 @@ def test_ingest_random_corruption_names_its_line(tmp_path_factory, text, data):
     # a RuntimeError here would be a bulk rejection the line checker cannot name
     with pytest.raises(ValueError, match=f":{row + 1}: .*{re.escape(expect)}"):
         ingest_tensor(path)
+
+
+
+def ingest_through_pipe(body):
+    """Ingest body as read from an OS pipe by its /dev/fd name; a thread feeds the pipe."""
+    if not os.path.isdir("/dev/fd"):
+        pytest.skip("no /dev/fd on this platform")
+    r, w = os.pipe()
+
+    def feed():
+        with os.fdopen(w, "wb") as fh:
+            fh.write(body.encode("utf-8"))
+
+    writer = threading.Thread(target=feed)
+    writer.start()
+    try:
+        return ingest_tensor(f"/dev/fd/{r}")
+    finally:
+        writer.join()
+        os.close(r)
+
+
+def big_body(shape, count):
+    """A TNSR3 file of count distinct entries, larger than any pipe or read buffer."""
+    rng = np.random.default_rng(0)
+    flats = rng.choice(np.prod(shape), size=count, replace=False)
+    lines = [f"TNSR3 {shape[0]} {shape[1]} {shape[2]}"]
+    for flat in flats:
+        i, j, k = np.unravel_index(flat, shape, order="F")
+        lines.append(f"{i + 1} {j + 1} {k + 1} {rng.standard_normal()!r}")
+    return "\n".join(lines) + "\n"
+
+
+def test_ingest_from_a_pipe_reads_every_entry(tmp_path):
+    body = big_body((40, 50, 60), 6000)
+    assert len(body) > 2**17
+    by_file = ingest_tensor(tensor_file(tmp_path, body))
+    by_pipe = ingest_through_pipe(body)
+    assert np.array_equal(by_pipe.cmap.kept, by_file.cmap.kept)
+    assert np.array_equal(by_pipe.Y, by_file.Y)
+    small = ingest_through_pipe(LAYOUT_VARIANTS["comments between"])
+    assert np.array_equal(small.Y, [[5.0, 0.0], [0.0, -1.5]])
+    assert ingest_through_pipe("TNSR3 2 3 4\n").Y.shape == (2, 0)
+    with pytest.raises(ValueError, match=":3: duplicate coordinate"):
+        ingest_through_pipe("TNSR3 2 2 2\n1 1 1 1.0\n1 1 1 2.0\n")
+
+
+@pytest.mark.parametrize("suffix", [".gz", ".bz2", ".xz", ".lzma"])
+def test_ingest_plain_text_under_a_compression_suffix(tmp_path, suffix):
+    body = LAYOUT_VARIANTS["comments between"]
+    s = ingest_tensor(tensor_file(tmp_path, body, name="t.tnsr3" + suffix))
+    assert np.array_equal(s.cmap.kept, [0, 11])
+    assert np.array_equal(s.Y, [[5.0, 0.0], [0.0, -1.5]])
+    with pytest.raises(ValueError, match=":3: malformed entry"):
+        ingest_tensor(tensor_file(tmp_path, "TNSR3 2 2 2\n1 1 1 1.0\n1 x 1 2.0\n",
+                                  name="t.tnsr3" + suffix))
 
 
 # preprocessing -----------------------------------------------------------
