@@ -26,21 +26,6 @@ class SampleMode(enum.Enum):
     ALL_NONZERO = "all_nonzero"
     INDEPENDENT_ONLY = "independent_only"
 
-    @classmethod
-    def parse(cls, text: str) -> "SampleMode":
-        key = text.strip().lower()
-        aliases = {
-            "all_nonzero": cls.ALL_NONZERO,
-            "allnonzero": cls.ALL_NONZERO,
-            "independent_only": cls.INDEPENDENT_ONLY,
-            "independentonly": cls.INDEPENDENT_ONLY,
-        }
-        if key not in aliases:
-            raise ValueError(
-                f"Unknown sample_mode {text!r}; expected all_nonzero or independent_only"
-            )
-        return aliases[key]
-
 
 def gradient(R, Xsel) -> np.ndarray:
     """Return (1/p') R sign(Xsel)^T with sign(0) = 0.

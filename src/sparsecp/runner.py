@@ -3,7 +3,11 @@
 Each sample is a FiberSample; each iteration drops its fibers at or
 below zero_tol, runs sparse coding -> untangle -> gradient -> dictionary
 step on the p fibers left (no n x J x K or m x JK array is built), then
-logs an IterationRecord.
+logs an IterationRecord every log_every iterations, and the last one
+always. Batch mode takes source.instance(0) once and reuses it, so a
+source only maps t to a sample. An error in a stage is raised once, as
+RuntimeError("<Stage> failed at iteration t: ...") with the original
+error as its cause.
 With ground truth (synthetic sources) the record carries aligned errors
 and the run stops once the max aligned column error reaches eps_T; file
 sources have no ground truth, so the error fields hold the dictionary
@@ -13,9 +17,10 @@ movement instead.
 
 from __future__ import annotations
 
+import enum
 import math
 import time
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 from typing import Callable, Iterable, Protocol
 
 import numpy as np
@@ -58,8 +63,6 @@ from .synth import gen_tensor_instance  # noqa: F401
 from .tensor_core import khatri_rao_transpose, mode1_unfold, scatter_columns  # noqa: F401
 from .untangle import untangle_krp  # noqa: F401
 
-import enum
-
 __all__ = [
     "RunMode",
     "SolverConfig",
@@ -80,13 +83,19 @@ class RunMode(enum.Enum):
     ONLINE = "online"
     BATCH = "batch"
 
-    @classmethod
-    def parse(cls, text: str) -> "RunMode":
-        key = text.strip().lower()
-        for v in cls:
-            if key == v.value:
-                return v
-        raise ValueError(f"Unknown mode {text!r}; expected online or batch")
+
+def _parse_choice(enum_cls: type[enum.Enum], name: str) -> Callable[[str], enum.Enum]:
+    """Parse a member's value, ignoring case, surrounding spaces and underscores."""
+    members = {v.value.replace("_", ""): v for v in enum_cls}
+
+    def run(text: str):
+        key = text.strip().lower().replace("_", "")
+        if key not in members:
+            expected = " or ".join(v.value for v in enum_cls)
+            raise ValueError(f"Unknown {name} {text!r}; expected {expected}")
+        return members[key]
+
+    return run
 
 
 def _parse_schedule(text: str):
@@ -138,16 +147,16 @@ class SolverConfig:
         SparsityParams(self.alpha, self.beta)  # validates the probabilities
         if self.T_max < 1:
             raise ValueError(f"T_max must be >= 1, got {self.T_max}")
-        if self.eps_T <= 0.0:
-            raise ValueError(f"eps_T must be > 0, got {self.eps_T}")
-        if self.zero_tol < 0.0:
-            raise ValueError(f"zero_tol must be >= 0, got {self.zero_tol}")
+        if not 0.0 < self.eps_T < math.inf:
+            raise ValueError(f"eps_T must be finite and > 0, got {self.eps_T}")
+        if not 0.0 <= self.zero_tol < math.inf:
+            raise ValueError(f"zero_tol must be finite and >= 0, got {self.zero_tol}")
         if self.log_every < 1:
             raise ValueError(f"log_every must be >= 1, got {self.log_every}")
         if self.workers < 1:
             raise ValueError(f"workers must be >= 1, got {self.workers}")
-        if self.eta_A is not None and self.eta_A <= 0.0:
-            raise ValueError(f"eta_A must be > 0, got {self.eta_A}")
+        if self.eta_A is not None and not 0.0 < self.eta_A < math.inf:
+            raise ValueError(f"eta_A must be finite and > 0, got {self.eta_A}")
         if self.eps0 is not None and not 0.0 <= self.eps0 < 2.0:
             raise ValueError(f"eps0 must lie in [0, 2), got {self.eps0}")
         self.iht_params()  # validates eta_x, tau, R, C_lb
@@ -161,6 +170,8 @@ class SolverConfig:
     def resolved_eps0(self) -> float:
         if self.eps0 is not None:
             return self.eps0
+        if self.n <= 2:  # 2/ln n: undefined at n = 1, over 2 (the longest chord) at n = 2
+            raise ValueError(f"No default eps0 for n = {self.n} (needs n >= 3); set eps0")
         return 2.0 / math.log(self.n)
 
     def resolved_eta_A(self) -> float:
@@ -187,7 +198,7 @@ class SolverConfig:
             "m": int,
             "alpha": float,
             "beta": float,
-            "dist": Distribution.parse,
+            "dist": _parse_choice(Distribution, "dist"),
             "C_lb": float,
             "eta_x": _parse_schedule,
             "tau": _parse_schedule,
@@ -196,9 +207,9 @@ class SolverConfig:
             "T_max": int,
             "eps_T": float,
             "zero_tol": float,
-            "sample_mode": SampleMode.parse,
+            "sample_mode": _parse_choice(SampleMode, "sample_mode"),
             "seed": int,
-            "mode": RunMode.parse,
+            "mode": _parse_choice(RunMode, "mode"),
             "log_every": int,
             "eps0": _parse_optional(float),
             "workers": int,
@@ -222,15 +233,6 @@ class SolverConfig:
             except ValueError as exc:
                 raise ValueError(f"Bad value for config key {key}: {text!r} ({exc})")
         return cls(**kwargs)
-
-    def with_overrides(self, raw: dict[str, str]) -> "SolverConfig":
-        """Return a copy with string overrides applied; unknown keys error."""
-        parsers = self._parsers()
-        unknown = sorted(set(raw) - set(parsers))
-        if unknown:
-            raise ValueError(f"Unknown config keys: {', '.join(unknown)}")
-        kwargs = {key: parsers[key](text) for key, text in raw.items()}
-        return replace(self, **kwargs)
 
     def to_mapping(self) -> dict[str, str]:
         """Return the config as key=value strings, field order preserved."""
@@ -285,13 +287,17 @@ class RunResult:
 
 
 class TensorSource(Protocol):
+    """instance(t) gives iteration t's sample and its ground truth (None
+    without one), or None once the input is exhausted. In batch mode
+    run_online calls instance(0) only."""
+
     def initial_dictionary(self) -> np.ndarray: ...
 
     def instance(self, t: int) -> tuple[FiberSample, GroundTruth | None] | None: ...
 
 
 class SyntheticSource:
-    """Draws a fresh planted instance per iteration (or one, in batch mode).
+    """Draws a fresh planted instance per iteration.
 
     Seed streams under the run seed: (0,) dictionary, (1,) perturbed
     init, (2, t) the factors of iteration t.
@@ -302,20 +308,11 @@ class SyntheticSource:
         root = np.random.SeedSequence(cfg.seed)
         self._root = root
         self.A_star = gen_dictionary(cfg.n, cfg.m, child_seed(root, 0))
-        self._cache: tuple[np.ndarray, GroundTruth] | None = None
 
     def initial_dictionary(self) -> np.ndarray:
         return perturb_init(self.A_star, self._cfg.resolved_eps0(), child_seed(self._root, 1))
 
     def instance(self, t: int):
-        cfg = self._cfg
-        if cfg.mode is RunMode.BATCH:
-            if self._cache is None:
-                self._cache = self._draw(0)
-            return self._cache
-        return self._draw(t)
-
-    def _draw(self, t: int):
         cfg = self._cfg
         B, C = gen_factor_pair(
             cfg.J, cfg.K, cfg.m, cfg.sparsity(), cfg.dist, cfg.C_lb,
@@ -327,8 +324,7 @@ class SyntheticSource:
 class FileSource:
     """Feeds pre-loaded FiberSamples in order; exhaustion ends the run.
 
-    Batch mode reuses the first sample for every iteration. The initial
-    dictionary is random unit columns under the run seed.
+    The initial dictionary is random unit columns under the run seed.
     """
 
     def __init__(self, cfg: SolverConfig, tensors: Iterable[FiberSample]):
@@ -350,8 +346,6 @@ class FileSource:
         return gen_dictionary(self._cfg.n, self._cfg.m, child_seed(root, 0))
 
     def instance(self, t: int):
-        if self._cfg.mode is RunMode.BATCH:
-            return self._tensors[0], None
         if t >= len(self._tensors):
             return None
         return self._tensors[t], None
@@ -398,12 +392,10 @@ def run_online(cfg: SolverConfig, source: TensorSource | None = None) -> RunResu
 
     for t in range(cfg.T_max):
         tick = time.perf_counter()
-        inst = source.instance(t)
+        if t == 0 or cfg.mode is RunMode.ONLINE:
+            inst = source.instance(t)  # batch mode keeps the first one
         if inst is None:
             stop_reason = "source_exhausted"
-            # the previous iteration was the last: log it if log_every skipped it
-            if record is not None and records[-1] is not record:
-                records.append(record)
             break
         sample, gt = inst
         iterations = t + 1
@@ -417,35 +409,30 @@ def run_online(cfg: SolverConfig, source: TensorSource | None = None) -> RunResu
         indep_pos = np.flatnonzero(np.isin(cmap.kept, indep, assume_unique=True))
         p_indep = int(indep_pos.size)
 
+        stage = "Sparse coding"
         try:
             Xh = iht(A, Y, None, ihtp)
-        except IhtDivergenceError as exc:
-            raise RuntimeError(f"Sparse coding failed at iteration {t}: {exc}") from exc
-        try:
+            stage = "Untangle"
             unf = untangle_codes(Xh, cmap, J, K)
-        except ValueError as exc:
-            raise RuntimeError(f"Untangle failed at iteration {t}: {exc}") from exc
 
-        # one residual of the pre-step dictionary feeds gradient and data_fit
-        R = A @ Xh
-        R -= Y
-        if cfg.sample_mode is SampleMode.INDEPENDENT_ONLY:
-            sel, p_sel = indep_pos, p_indep
-        else:
-            sel, p_sel = slice(None), p  # every column, as views
-        g = None
-        if p_sel > 0:
-            try:
+            stage = "Dictionary update"
+            # one residual of the pre-step dictionary feeds gradient and data_fit
+            R = A @ Xh
+            R -= Y
+            if cfg.sample_mode is SampleMode.INDEPENDENT_ONLY:
+                sel, p_sel = indep_pos, p_indep
+            else:
+                sel, p_sel = slice(None), p  # every column, as views
+            g = None
+            if p_sel > 0:
                 g = gradient(R[:, sel], Xh[:, sel])
                 A_new = step_and_normalize(A, g, eta_A)
-            except ValueError as exc:
-                raise RuntimeError(f"Dictionary update failed at iteration {t}: {exc}") from exc
-        else:
-            A_new = A  # no usable samples; skip the update, keep logging
+            else:
+                A_new = A  # no usable samples; skip the update, keep logging
 
-        try:
+            stage = "Metrics"
             fit = data_fit(Y, R) if p > 0 else 0.0
-
+            err_X_relF, ss_ok, err_B_max, err_C_max, min_corr = 0.0, True, 0.0, 0.0, 0.0
             if gt is not None:
                 align = match_columns(A_new, gt.A)
                 colerrs = column_errors(A_new, gt.A, align)
@@ -456,31 +443,21 @@ def run_online(cfg: SolverConfig, source: TensorSource | None = None) -> RunResu
                     X_al = align_rows(Xh, align)
                     err_X_relF = rel_frobenius(X_al, X_star)
                     ss_ok = signed_support_equal(X_al, X_star)
-                else:
-                    err_X_relF = 0.0
-                    ss_ok = True
                 err_B_max = float(normalized_column_errors(unf.B, gt.B, align).max())
                 err_C_max = float(normalized_column_errors(unf.C, gt.C, align).max())
                 if g is not None:
                     used = (Xh[:, sel] != 0.0).any(axis=1)
                     min_corr = _min_descent_correlation(g, A, gt.A, align, used, cfg.eps_T)
-                else:
-                    min_corr = 0.0
                 should_stop = err_A_max <= cfg.eps_T
             else:
                 movement = float(np.linalg.norm(A_new - A))
                 err_A_max = movement
                 err_A_relF = movement / float(np.linalg.norm(A))
-                err_X_relF = 0.0
-                ss_ok = True
-                err_B_max = 0.0
-                err_C_max = 0.0
-                min_corr = 0.0
                 # all-zero codes give a zero gradient: no movement, but nothing learned
                 learned = g is not None and bool(Xh[:, sel].any())
                 should_stop = learned and movement <= cfg.eps_T
-        except ValueError as exc:
-            raise RuntimeError(f"Metrics failed at iteration {t}: {exc}") from exc
+        except (IhtDivergenceError, ValueError) as exc:
+            raise RuntimeError(f"{stage} failed at iteration {t}: {exc}") from exc
 
         wall_ms = (time.perf_counter() - tick) * 1000.0
         record = IterationRecord(
@@ -497,7 +474,7 @@ def run_online(cfg: SolverConfig, source: TensorSource | None = None) -> RunResu
             min_descent_corr=min_corr,
             wall_ms=wall_ms,
         )
-        if t % cfg.log_every == 0 or should_stop or t == cfg.T_max - 1:
+        if t % cfg.log_every == 0:
             records.append(record)
 
         A = A_new
@@ -506,6 +483,9 @@ def run_online(cfg: SolverConfig, source: TensorSource | None = None) -> RunResu
             stop_reason = "converged"
             converged = True
             break
+
+    if record is not None and records[-1] is not record:
+        records.append(record)  # the last iteration is logged whatever log_every says
 
     return RunResult(
         records=tuple(records),

@@ -89,8 +89,8 @@ class IhtParams:
             if not 0.0 < v <= 1.0:
                 raise ValueError(f"eta_x entries must lie in (0, 1], got {v}")
         for v in tau:
-            if v <= 0.0:
-                raise ValueError(f"tau entries must be > 0, got {v}")
+            if not 0.0 < v < math.inf:
+                raise ValueError(f"tau entries must be finite and > 0, got {v}")
         if not 0.0 < self.C_lb <= 1.0:
             raise ValueError(f"C_lb must lie in (0, 1], got {self.C_lb}")
         if self.R is None:

@@ -41,16 +41,6 @@ class Distribution(enum.Enum):
     RADEMACHER = "rademacher"
     BOUNDED_SUBGAUSSIAN = "bounded_subgaussian"
 
-    @classmethod
-    def parse(cls, text: str) -> "Distribution":
-        key = text.strip().lower()
-        for d in cls:
-            if key == d.value:
-                return d
-        raise ValueError(
-            f"Unknown dist {text!r}; expected rademacher or bounded_subgaussian"
-        )
-
 
 @dataclass(frozen=True)
 class SparsityParams:

@@ -106,18 +106,52 @@ def _check_entry(path, lineno: int, text: str, shape, seen: set[int]) -> None:
     seen.add(flat)
 
 
+def _decode(path, raw: bytes) -> str:
+    """Return raw as UTF-8 text; invalid UTF-8 raises ValueError naming its line."""
+    try:
+        return raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        before = io.StringIO(raw[: exc.start].decode("utf-8"), newline=None).read()
+        lineno = before.count("\n") + 1
+        raise ValueError(f"{path}:{lineno}: invalid UTF-8 byte 0x{raw[exc.start]:02x}") from None
+
+
+def _raise_undecodable(path, exc: UnicodeDecodeError) -> NoReturn:
+    """Read the file at path again as bytes and raise its invalid UTF-8 with the line.
+
+    Only a rejected file gets here; a pipe yields nothing the second time,
+    so its error names the file only.
+    """
+    with open(path, "rb") as fh:
+        _decode(path, fh.read())
+    raise ValueError(f"{path}: {exc}") from exc
+
+
+def _read_lines(path) -> list[str]:
+    """Return the file's lines; invalid UTF-8 raises ValueError naming its line."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return fh.readlines()
+    except UnicodeDecodeError as exc:
+        _raise_undecodable(path, exc)
+
+
 def _raise_first_bad_line(path, held: str | None) -> NoReturn:
     """Walk the file line by line and raise the error of its first bad line.
 
     held is the file's text when it was read into memory, else None.
     """
     seen: set[int] = set()
-    with open(path, encoding="utf-8") if held is None else io.StringIO(held) as fh:
-        shape, head = _read_header(fh, path)
-        for lineno, rawline in enumerate(fh, start=head + 1):
-            text = _strip_comment(rawline)
-            if text:
-                _check_entry(path, lineno, text, shape, seen)
+    text_io = open(path, encoding="utf-8") if held is None else io.StringIO(held, newline=None)
+    try:
+        with text_io as fh:
+            shape, head = _read_header(fh, path)
+            for lineno, rawline in enumerate(fh, start=head + 1):
+                text = _strip_comment(rawline)
+                if text:
+                    _check_entry(path, lineno, text, shape, seen)
+    except UnicodeDecodeError as exc:
+        _raise_undecodable(path, exc)
     raise RuntimeError(
         f"{path}: the bulk reader rejected the file, but no line breaks the TNSR3 rules"
     )
@@ -154,9 +188,9 @@ def ingest_tensor(path) -> FiberSample:
     ASCII decimal float as Python's float() reads it (`2`, `-0.5`,
     `.5`, `1e-3`), and must be finite. Underscores, non-ASCII digits,
     hexadecimal and `1.0` as an index are malformed. All parse errors
-    carry the 1-based line number. Entries are grouped by fiber (j, k);
-    a fiber whose listed values are all zero is not kept. Memory follows
-    the listed entries, not n*J*K.
+    carry the 1-based line number, invalid UTF-8 included. Entries are
+    grouped by fiber (j, k); a fiber whose listed values are all zero is
+    not kept. Memory follows the listed entries, not n*J*K.
 
     The entry lines are parsed in one np.loadtxt call and checked as a
     whole; only a rejected file is walked again line by line, to name
@@ -165,10 +199,10 @@ def ingest_tensor(path) -> FiberSample:
     compression suffix) is read into memory once and parsed from there.
     """
     with open(path, encoding="utf-8") as fh:
-        held = None if _reopenable(path) else fh.read()
-        src = fh if held is None else io.StringIO(held)
-        shape, head = _read_header(src, path)
+        held = None if _reopenable(path) else _decode(path, fh.buffer.read())
+        src = fh if held is None else io.StringIO(held, newline=None)
         try:
+            shape, head = _read_header(src, path)
             first = next((line for line in src if _strip_comment(line)), None)
             if first is None:
                 rec = np.empty(0, dtype=_ENTRY)  # header only: loadtxt would warn
@@ -182,7 +216,7 @@ def ingest_tensor(path) -> FiberSample:
                         lines, dtype=_ENTRY, comments="#", skiprows=skip, ndmin=1,
                         encoding="utf-8",
                     )
-        except (ValueError, Warning):
+        except (ValueError, Warning):  # UnicodeDecodeError included
             _raise_first_bad_line(path, held)
     n, J, K = shape
     i, j, k, vals = rec["i"], rec["j"], rec["k"], rec["v"]
@@ -256,8 +290,7 @@ def write_matrix_csv(path, M) -> None:
 
 def read_matrix_csv(path) -> np.ndarray:
     """Read write_matrix_csv's format; errors name the file and, where known, the line."""
-    with open(path, encoding="utf-8") as fh:
-        lines = fh.readlines()
+    lines = _read_lines(path)
     if not lines:
         raise ValueError(f"{path}: empty file, expected a 'rows,cols' header")
     head = lines[0].strip().split(",")
@@ -298,21 +331,20 @@ def parse_config_file(path) -> dict[str, str]:
     SolverConfig's job.
     """
     out: dict[str, str] = {}
-    with open(path, encoding="utf-8") as fh:
-        for lineno, rawline in enumerate(fh, start=1):
-            text = _strip_comment(rawline)
-            if not text:
-                continue
-            if "=" not in text:
-                raise ValueError(f"{path}:{lineno}: expected key=value, got {text!r}")
-            key, value = text.split("=", 1)
-            key = key.strip()
-            value = value.strip()
-            if not key:
-                raise ValueError(f"{path}:{lineno}: empty key")
-            if key in out:
-                raise ValueError(f"{path}:{lineno}: duplicate key {key}")
-            out[key] = value
+    for lineno, rawline in enumerate(_read_lines(path), start=1):
+        text = _strip_comment(rawline)
+        if not text:
+            continue
+        if "=" not in text:
+            raise ValueError(f"{path}:{lineno}: expected key=value, got {text!r}")
+        key, value = text.split("=", 1)
+        key = key.strip()
+        value = value.strip()
+        if not key:
+            raise ValueError(f"{path}:{lineno}: empty key")
+        if key in out:
+            raise ValueError(f"{path}:{lineno}: duplicate key {key}")
+        out[key] = value
     return out
 
 

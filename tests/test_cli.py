@@ -1,7 +1,11 @@
+import re
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
 from sparsecp.cli import main
+from sparsecp.runner import SolverConfig
 from sparsecp.synth import Distribution, SparsityParams, gen_dictionary, gen_tensor_instance
 from sparsecp.tensor_core import khatri_rao_transpose
 from sparsecp.tensorio import read_matrix_csv, write_matrix_csv
@@ -62,6 +66,42 @@ def test_synth_run_bad_value_is_reported(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: ")
     assert "alpha" in err
+
+
+FLOAT_KEYS = [f.name for f in fields(SolverConfig) if "float" in str(f.type)]
+BASE = {"n": "40", "J": "15", "K": "15", "m": "6", "alpha": "0.1", "beta": "0.1"}
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("key", FLOAT_KEYS)
+def test_non_finite_float_is_rejected_naming_its_key(tmp_path, capsys, key, value):
+    assert len(FLOAT_KEYS) == 9
+    with pytest.raises(ValueError, match=rf"^{key}\b"):
+        SolverConfig.from_mapping(BASE | {key: value})
+    code = main(["synth-run", *FAST, f"--{key}={value}", "--out", str(tmp_path / "x")])
+    assert code == 1
+    assert re.fullmatch(rf"error: {key}\b[^\n]*\n", capsys.readouterr().err)
+    assert not (tmp_path / "x").exists()
+
+
+@pytest.mark.parametrize("n", ["1", "2"])
+def test_synth_run_with_too_few_rows_asks_for_eps0(tmp_path, capsys, n):
+    code = main(["synth-run", *FAST, "--n", n, "--out", str(tmp_path / "x")])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err == f"error: No default eps0 for n = {n} (needs n >= 3); set eps0\n"
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_decompose_with_too_few_rows_runs(tmp_path, capsys, n):
+    # file runs start from random unit columns and never resolve eps0
+    Z = np.zeros((n, 2, 2))
+    Z[0, 0, 0], Z[-1, 1, 0], Z[0, 1, 1] = 1.0, -0.5, 2.0
+    p = tmp_path / "z.tnsr"
+    write_tnsr(p, Z)
+    code = main(["decompose", str(p), "--m", "2", "--eta_A", "1.0", "--out", str(tmp_path / "d")])
+    assert code in (0, 2)
+    assert "stop_reason=" in capsys.readouterr().out
 
 
 def tnsr_lines(Z):

@@ -4,6 +4,9 @@ import pytest
 from oracles import descent_correlation
 from sparsecp.dict_update import SampleMode, gradient, step_and_normalize
 from sparsecp.linalg import CollapsedColumnError
+from sparsecp.runner import SolverConfig
+
+BASE = {"n": "4", "J": "3", "K": "3", "m": "2", "alpha": "0.5", "beta": "0.5"}
 
 
 def test_gradient_zero_at_truth():
@@ -100,10 +103,13 @@ def test_descent_correlation_at_truth():
 
 
 def test_sample_mode_parsing():
-    assert SampleMode.parse("all_nonzero") is SampleMode.ALL_NONZERO
-    assert SampleMode.parse("AllNonzero") is SampleMode.ALL_NONZERO
-    assert SampleMode.parse("independent_only") is SampleMode.INDEPENDENT_ONLY
-    assert SampleMode.parse("IndependentOnly") is SampleMode.INDEPENDENT_ONLY
-    assert SampleMode.parse("INDEPENDENTONLY") is SampleMode.INDEPENDENT_ONLY
-    with pytest.raises(ValueError):
-        SampleMode.parse("everything")
+    def parse(text):
+        return SolverConfig.from_mapping(BASE | {"sample_mode": text}).sample_mode
+
+    assert parse("all_nonzero") is SampleMode.ALL_NONZERO
+    assert parse("AllNonzero") is SampleMode.ALL_NONZERO
+    assert parse(" independent_only ") is SampleMode.INDEPENDENT_ONLY
+    assert parse("IndependentOnly") is SampleMode.INDEPENDENT_ONLY
+    assert parse("INDEPENDENTONLY") is SampleMode.INDEPENDENT_ONLY
+    with pytest.raises(ValueError, match="Unknown sample_mode 'everything'; expected all_nonzero"):
+        parse("everything")

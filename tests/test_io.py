@@ -313,14 +313,17 @@ def test_ingest_random_corruption_names_its_line(tmp_path_factory, text, data):
 
 
 def ingest_through_pipe(body):
-    """Ingest body as read from an OS pipe by its /dev/fd name; a thread feeds the pipe."""
+    """Ingest body (text or bytes) as read from an OS pipe by its /dev/fd name.
+
+    A thread feeds the pipe.
+    """
     if not os.path.isdir("/dev/fd"):
         pytest.skip("no /dev/fd on this platform")
     r, w = os.pipe()
 
     def feed():
         with os.fdopen(w, "wb") as fh:
-            fh.write(body.encode("utf-8"))
+            fh.write(body if isinstance(body, bytes) else body.encode("utf-8"))
 
     writer = threading.Thread(target=feed)
     writer.start()
@@ -354,6 +357,24 @@ def test_ingest_from_a_pipe_reads_every_entry(tmp_path):
     assert ingest_through_pipe("TNSR3 2 3 4\n").Y.shape == (2, 0)
     with pytest.raises(ValueError, match=":3: duplicate coordinate"):
         ingest_through_pipe("TNSR3 2 2 2\n1 1 1 1.0\n1 1 1 2.0\n")
+
+
+def test_ingest_names_the_line_of_invalid_utf8(tmp_path):
+    big = big_body((40, 50, 60), 6000).encode("utf-8")
+    cases = [
+        (b"\xffTNSR3 2 2 2\n1 1 1 1.0\n", 1, 0xFF),  # the header line
+        (b"TNSR3 2 2 2\r\n1 1 1 1.0\r# c\r2 2 2 \xe93\n", 4, 0xE9),  # CRLF and lone CR
+        (b"TNSR3 2 2 2\n1 1 1 1.0\n# caf\xe9\n", 3, 0xE9),  # in a comment
+        (big + b"1 1 1 \xc3\n", 6002, 0xC3),  # past the first read buffer
+    ]
+    for body, line, byte in cases:
+        path = tmp_path / "t.tnsr3"
+        path.write_bytes(body)
+        expect = rf"t\.tnsr3:{line}: invalid UTF-8 byte 0x{byte:02x}$"
+        with pytest.raises(ValueError, match=expect):
+            ingest_tensor(path)
+        with pytest.raises(ValueError, match=rf"/dev/fd/\d+:{line}: invalid UTF-8 byte"):
+            ingest_through_pipe(body)
 
 
 @pytest.mark.parametrize("suffix", [".gz", ".bz2", ".xz", ".lzma"])
@@ -451,6 +472,80 @@ def test_matrix_csv_errors(tmp_path):
             read_matrix_csv(p)
 
 
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
+
+
+def write_text_lines(path, lines, newline):
+    # a lone surrogate in a line stands for one byte that is not UTF-8
+    path.write_bytes(newline.join(lines).encode("utf-8", "surrogateescape") + newline.encode())
+    return path
+
+
+@st.composite
+def matrix_csv_texts(draw):
+    """A valid matrix CSV in a random layout: (lines, newline, M, row_lines)."""
+    rows, cols = draw(st.integers(0, 5)), draw(st.integers(1, 5))
+    M = np.array(
+        draw(st.lists(st.lists(FINITE, min_size=cols, max_size=cols), min_size=rows,
+                      max_size=rows)),
+        dtype=float,
+    ).reshape(rows, cols)
+    lines, row_lines = [f"{rows},{cols}"], []
+    for r in range(rows):
+        lines += draw(st.lists(st.sampled_from(["", "  "]), max_size=1))
+        row_lines.append(len(lines))
+        cells = [draw(st.sampled_from([repr(v), f"{v:.17e}", f" {v!r} "])) for v in M[r].tolist()]
+        lines.append(",".join(cells))
+    return lines, draw(st.sampled_from(["\n", "\r\n"])), M, row_lines
+
+
+@settings(max_examples=80, deadline=None)
+@given(matrix_csv_texts())
+def test_matrix_csv_random_valid_file_round_trips(tmp_path_factory, text):
+    lines, newline, M, _ = text
+    path = write_text_lines(tmp_path_factory.mktemp("ok") / "m.csv", lines, newline)
+    back = read_matrix_csv(path)
+    assert back.shape == M.shape
+    assert np.array_equal(back, M) and np.array_equal(np.signbit(back), np.signbit(M))
+    write_matrix_csv(path, back)
+    again = read_matrix_csv(path)
+    assert np.array_equal(again, M) and np.array_equal(np.signbit(again), np.signbit(M))
+
+
+@settings(max_examples=120, deadline=None)
+@given(matrix_csv_texts().filter(lambda text: text[2].size > 0), st.data())
+def test_matrix_csv_random_corruption_names_its_line(tmp_path_factory, text, data):
+    lines, newline, M, row_lines = text
+    row = row_lines[data.draw(st.integers(0, len(row_lines) - 1))]
+    cells = lines[row].split(",")
+    slot = data.draw(st.integers(0, len(cells) - 1))
+    kind = data.draw(st.sampled_from(["arity", "bad token", "non-finite", "utf-8"]))
+    if kind == "arity":
+        cells.append("1.0")
+        expect = f"expected {M.shape[1]} values, found {M.shape[1] + 1}"
+    elif kind == "bad token":
+        cells[slot] = data.draw(st.sampled_from(["x", "1..0", "--1", "1e", "0x1p3", "1 2"]))
+        expect = "malformed value"
+    elif kind == "non-finite":
+        cells[slot] = data.draw(st.sampled_from(NON_FINITE))
+        expect = "non-finite value"
+    else:
+        cells[slot] = "\udcff" + cells[slot]
+        expect = "invalid UTF-8 byte 0xff"
+    lines = lines.copy()
+    lines[row] = ",".join(cells)
+    path = write_text_lines(tmp_path_factory.mktemp("bad") / "m.csv", lines, newline)
+    with pytest.raises(ValueError, match=f"m\\.csv:{row + 1}: {re.escape(expect)}"):
+        read_matrix_csv(path)
+
+
+def test_matrix_csv_names_the_line_of_invalid_utf8(tmp_path):
+    p = tmp_path / "m.csv"
+    p.write_bytes(b"2,2\n1.0,2.0\n\n3.0,\xe94.0\n")
+    with pytest.raises(ValueError, match=r"m\.csv:4: invalid UTF-8 byte 0xe9$"):
+        read_matrix_csv(p)
+
+
 # config ------------------------------------------------------------------
 
 
@@ -470,6 +565,70 @@ def test_parse_config_file(tmp_path):
     p.write_text("=3\n", encoding="utf-8")
     with pytest.raises(ValueError, match=":1: empty key"):
         parse_config_file(p)
+
+
+def test_config_file_names_the_line_of_invalid_utf8(tmp_path):
+    p = tmp_path / "run.cfg"
+    p.write_bytes(b"n=3\r\n# caf\xe9 au lait\r\nJ=4\r\n")
+    with pytest.raises(ValueError, match=r"run\.cfg:2: invalid UTF-8 byte 0xe9$"):
+        parse_config_file(p)
+
+
+KEY = st.text("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ_0123456789", min_size=1,
+              max_size=8)
+WORD = st.text(st.characters(blacklist_categories=("Cs", "Cc", "Z"), blacklist_characters="#"),
+               max_size=6)
+
+
+@st.composite
+def config_texts(draw):
+    """A valid config file in a random layout: (lines, newline, mapping, key_lines)."""
+    keys = draw(st.lists(KEY, unique=True, max_size=6))
+    mapping, lines, key_lines = {}, [], []
+    for key in keys:
+        value = draw(st.one_of(WORD, st.builds(lambda a, b: f"{a} {b}", WORD, WORD))).strip()
+        mapping[key] = value
+        lines += draw(st.lists(st.sampled_from(["", "  ", "# note", " # k=v"]), max_size=1))
+        key_lines.append(len(lines))
+        pad = draw(st.sampled_from(["", " ", "\t"]))
+        tail = draw(st.sampled_from(["", " ", "  # why", "#"]))
+        lines.append(f"{pad}{key}{pad}={draw(st.sampled_from(['', ' ']))}{value}{tail}")
+    return lines, draw(st.sampled_from(["\n", "\r\n"])), mapping, key_lines
+
+
+@settings(max_examples=80, deadline=None)
+@given(config_texts())
+def test_config_file_random_valid_file_round_trips(tmp_path_factory, text):
+    lines, newline, mapping, _ = text
+    path = write_text_lines(tmp_path_factory.mktemp("ok") / "run.cfg", lines, newline)
+    got = parse_config_file(path)
+    assert got == mapping and list(got) == list(mapping)
+
+
+@settings(max_examples=120, deadline=None)
+@given(config_texts().filter(lambda text: len(text[2]) >= 2), st.data())
+def test_config_file_random_corruption_names_its_line(tmp_path_factory, text, data):
+    lines, newline, mapping, key_lines = text
+    pos = data.draw(st.integers(1, len(key_lines) - 1))
+    row = key_lines[pos]
+    kind = data.draw(st.sampled_from(["no =", "empty key", "duplicate", "utf-8"]))
+    if kind == "no =":
+        lines[row] = lines[row].split("=", 1)[0]
+        expect = "expected key=value"
+    elif kind == "empty key":
+        lines[row] = "=" + lines[row].split("=", 1)[1]
+        expect = "empty key"
+    elif kind == "duplicate":
+        earlier = list(mapping)[data.draw(st.integers(0, pos - 1))]
+        lines[row] = f"{earlier}=1"
+        expect = f"duplicate key {earlier}"
+    else:
+        at = data.draw(st.integers(0, len(lines[row])))
+        lines[row] = lines[row][:at] + "\udcff" + lines[row][at:]
+        expect = "invalid UTF-8 byte 0xff"
+    path = write_text_lines(tmp_path_factory.mktemp("bad") / "run.cfg", lines, newline)
+    with pytest.raises(ValueError, match=f"run\\.cfg:{row + 1}: {re.escape(expect)}"):
+        parse_config_file(path)
 
 
 def test_config_from_mapping():

@@ -9,6 +9,7 @@ import pytest
 
 import sparsecp
 from sparsecp import linalg, runner, untangle
+from sparsecp.linalg import CollapsedColumnError
 from sparsecp.dict_update import SampleMode
 from sparsecp.runner import (
     ETA_A_PRESETS,
@@ -105,6 +106,20 @@ def test_batch_mode_reuses_one_instance():
     assert len({r.p for r in res_on.records}) > 1
 
 
+@pytest.mark.parametrize("kind", ["synthetic", "files"])
+def test_batch_mode_takes_one_instance(kind):
+    cfg = cfg_small(mode=RunMode.BATCH, T_max=5)
+    source = SyntheticSource(cfg) if kind == "synthetic" else FileSource(
+        cfg, planted_tensors(cfg, 3)
+    )
+    asked = []
+    draw = source.instance
+    source.instance = lambda t: asked.append(t) or draw(t)
+    res = run_online(cfg, source)
+    assert res.iterations == 5
+    assert asked == [0]
+
+
 def test_data_fit_bounded_and_decreasing_tail():
     res = run_online(cfg_small(T_max=25, eta_A=8.0))
     assert all(r.data_fit <= 1.0 + 1e-12 for r in res.records)
@@ -123,6 +138,19 @@ def test_convergence_stop():
     assert res.stop_reason == "converged"
     assert res.records[-1].err_A_max <= 1e-10
     assert res.iterations < 300
+
+
+def test_convergence_on_an_unlogged_iteration_is_logged_once():
+    every = run_online(cfg_small(T_max=300, eps_T=1e-10, eta_A=8.0))
+    t_stop = every.records[-1].t
+    assert every.converged and t_stop > 2
+    for log_every in (t_stop - 1, t_stop, t_stop + 1):
+        res = run_online(cfg_small(T_max=300, eps_T=1e-10, eta_A=8.0, log_every=log_every))
+        assert res.converged and res.iterations == t_stop + 1
+        want = sorted({0, t_stop} | ({log_every} if log_every <= t_stop else set()))
+        assert [r.t for r in res.records] == want
+        last, ref = res.records[-1], every.records[-1]
+        assert (last.err_A_max, last.data_fit) == (ref.err_A_max, ref.data_fit)
 
 
 def test_determinism_modulo_wall_time():
@@ -367,6 +395,34 @@ def test_coding_failure_names_iteration():
     assert isinstance(err.value.__cause__, IhtDivergenceError)
 
 
+class CollapsingAtomSource:
+    """Two copies of e_1 as the dictionary. With R = 0 both codes of a
+    sample e_1 are 1, the residual is e_1, and a step of eta_A = 1 takes
+    both atoms to zero. Iteration 0's sample codes to zero and leaves
+    the dictionary as it is."""
+
+    def __init__(self, cfg):
+        self._n = cfg.n
+
+    def initial_dictionary(self):
+        A = np.zeros((self._n, 2))
+        A[0] = 1.0
+        return A
+
+    def instance(self, t):
+        Y = np.zeros((self._n, 1))
+        Y[0] = 1.0 if t == 1 else 1e-3
+        return FiberSample((self._n, 2, 2), ColumnIndexMap(4, [0]), Y), None
+
+
+def test_update_failure_names_iteration():
+    cfg = cfg_small(m=2, J=2, K=2, R=0, eta_A=1.0, T_max=3)
+    expect = "Dictionary update failed at iteration 1: Column 0"
+    with pytest.raises(RuntimeError, match=expect) as err:
+        run_online(cfg, source=CollapsingAtomSource(cfg))
+    assert isinstance(err.value.__cause__, CollapsedColumnError)
+
+
 class WrongTruthSource(SyntheticSource):
     """From iteration 1 on, the ground truth's dictionary has a row too few."""
 
@@ -458,14 +514,11 @@ def test_eps0_default_tracks_log_n():
     assert cfg_small(eps0=0.3).resolved_eps0() == 0.3
 
 
-def test_with_overrides():
-    cfg = cfg_small()
-    tweaked = cfg.with_overrides({"T_max": "77", "eta_A": "auto"})
-    assert tweaked.T_max == 77
-    assert tweaked.eta_A is None
-    assert tweaked.n == cfg.n
-    with pytest.raises(ValueError, match="Unknown config key"):
-        cfg.with_overrides({"nonsense": "1"})
+def test_eps0_has_no_default_below_three_rows():
+    for n in (1, 2):
+        with pytest.raises(ValueError, match=f"No default eps0 for n = {n} .*set eps0"):
+            cfg_small(n=n).resolved_eps0()
+        assert cfg_small(n=n, eps0=0.5).resolved_eps0() == 0.5
 
 
 def test_config_validation():

@@ -15,6 +15,7 @@ from sparsecp.synth import (
     perturb_init,
     subgaussian_magnitude_bound,
 )
+from sparsecp.runner import RunMode, SolverConfig
 from sparsecp.tensor_core import (
     extract_nonzero_columns,
     khatri_rao_transpose,
@@ -83,10 +84,20 @@ def test_subgaussian_bound_unit_variance():
 
 
 def test_distribution_parse():
-    assert Distribution.parse("rademacher") is Distribution.RADEMACHER
-    assert Distribution.parse("bounded_subgaussian") is Distribution.BOUNDED_SUBGAUSSIAN
-    with pytest.raises(ValueError):
-        Distribution.parse("gaussian")
+    base = {"n": "4", "J": "3", "K": "3", "m": "2", "alpha": "0.5", "beta": "0.5"}
+
+    def parse(key, text):
+        return getattr(SolverConfig.from_mapping(base | {key: text}), key)
+
+    assert parse("dist", "rademacher") is Distribution.RADEMACHER
+    assert parse("dist", "bounded_subgaussian") is Distribution.BOUNDED_SUBGAUSSIAN
+    assert parse("dist", " Bounded_SubGaussian ") is Distribution.BOUNDED_SUBGAUSSIAN
+    with pytest.raises(ValueError, match="Unknown dist 'gaussian'; expected rademacher or"):
+        parse("dist", "gaussian")
+    # the run mode parses the same way
+    assert parse("mode", " BATCH") is RunMode.BATCH
+    with pytest.raises(ValueError, match="Unknown mode 'offline'; expected online or batch"):
+        parse("mode", "offline")
 
 
 def test_sparsity_params():
