@@ -141,7 +141,9 @@ class SolverConfig:
     workers: int = 1
 
     def __post_init__(self):
-        for name in ("n", "J", "K", "m"):
+        if self.n < 2:  # a unit column in R^1 is +-1 and cannot move
+            raise ValueError(f"n must be >= 2, got {self.n}")
+        for name in ("J", "K", "m"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
         SparsityParams(self.alpha, self.beta)  # validates the probabilities
@@ -170,8 +172,8 @@ class SolverConfig:
     def resolved_eps0(self) -> float:
         if self.eps0 is not None:
             return self.eps0
-        if self.n <= 2:  # 2/ln n: undefined at n = 1, over 2 (the longest chord) at n = 2
-            raise ValueError(f"No default eps0 for n = {self.n} (needs n >= 3); set eps0")
+        if self.n == 2:  # 2/ln 2 is over 2, the longest chord
+            raise ValueError("No default eps0 for n = 2 (needs n >= 3); set eps0")
         return 2.0 / math.log(self.n)
 
     def resolved_eta_A(self) -> float:

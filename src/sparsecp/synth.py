@@ -2,10 +2,16 @@
 
 Reproducibility contract: every generator is a pure function of its
 parameters and a seed. Seeds are numpy SeedSequences; an integer seed is
-promoted to one. Each matrix column draws from its own child stream
-(spawn key = parent key + (column,)) over the Philox bit generator, so
-generation is deterministic across platforms, call orders, and any
-column-parallel execution.
+promoted to one. Matrix column c draws from its own child stream (spawn
+key = parent key + (c,)) over the Philox4x64-10 bit generator. The
+bytes rest on two parts of numpy that NEP 19 keeps stable: the
+SeedSequence hash, which column_keys computes for all columns at once,
+and Philox's raw stream. The dictionary and the initial perturbation
+take their normals from numpy's Generator on that stream. The sparse
+factors map the raw words to support, sign and magnitude in this
+module's own code, byte for byte as Generator.random and
+Generator.integers(0, 2) would, so their bytes depend on no Generator
+method.
 """
 
 from __future__ import annotations
@@ -24,6 +30,7 @@ __all__ = [
     "SparsityParams",
     "GroundTruth",
     "child_seed",
+    "column_keys",
     "gen_dictionary",
     "gen_sparse_factor",
     "perturb_init",
@@ -74,8 +81,65 @@ def child_seed(seed, *key: int) -> np.random.SeedSequence:
     return np.random.SeedSequence(entropy=base.entropy, spawn_key=base.spawn_key + key)
 
 
-def _column_rng(seed, col: int) -> np.random.Generator:
-    return np.random.Generator(np.random.Philox(child_seed(seed, col)))
+# numpy's SeedSequence hash: the multiplier chains of mix_entropy (A) and
+# generate_state (B), the pool mix (L, R) and a 16-bit xorshift, on uint32.
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+_POOL_SIZE = 4
+_M32 = 0xFFFFFFFF
+
+
+def _n_words(x) -> int:
+    """Return the number of uint32 words SeedSequence makes of an entropy or spawn key."""
+    if isinstance(x, (int, np.integer)):
+        return max(1, -(-int(x).bit_length() // 32))
+    return sum(_n_words(v) for v in x)
+
+
+def _hashmix(v: np.ndarray, init: int, mult: int, call: int) -> np.ndarray:
+    """Hash row d of v, a (4, m) uint64 array of 32-bit values, as call `call + d`.
+
+    Call k of a hash chain xors with init*mult^k, multiplies by
+    init*mult^(k+1) and xorshifts, all mod 2^32.
+    """
+    chain = [init * pow(mult, k, 1 << 32) & _M32 for k in range(call, call + _POOL_SIZE + 1)]
+    h = (v ^ np.array(chain[:-1], np.uint64)[:, None]) * np.array(chain[1:], np.uint64)[:, None]
+    h &= _M32
+    return h ^ (h >> 16)
+
+
+def column_keys(seed, m: int) -> np.ndarray:
+    """Return the (m, 2) uint64 Philox keys of the column streams 0, ..., m-1.
+
+    Row c equals child_seed(seed, c).generate_state(2, np.uint64). The
+    children's entropy words differ only in the last one, c, which lies
+    past the 4-word pool: the shared words are mixed once, into the pool
+    of child_seed(seed), and c is mixed into each pool word by its own
+    hash call, for all columns at once.
+    """
+    base = child_seed(seed)
+    # a spawned child pads its run entropy to the pool size; 4 hash calls per word precede c
+    words = max(_n_words(base.entropy), _POOL_SIZE) + _n_words(base.spawn_key)
+    cols = np.broadcast_to(np.arange(m, dtype=np.uint64), (_POOL_SIZE, m))
+    h = _hashmix(cols, _INIT_A, _MULT_A, _POOL_SIZE * words)
+    pool = (_MIX_L * base.pool.astype(np.uint64)[:, None] - _MIX_R * h) & _M32
+    state = _hashmix(pool ^ (pool >> 16), _INIT_B, _MULT_B, 0)
+    return (state[0::2] | state[1::2] << 32).T
+
+
+def _column_streams(seed, m: int):
+    """Yield one Generator m times, set to column stream c = 0, ..., m-1 in turn.
+
+    Yield c draws as np.random.Generator(np.random.Philox(child_seed(seed, c)))
+    would: one Philox gets each key with a zero counter and an empty buffer.
+    """
+    bits = np.random.Philox(0)
+    state, rng = bits.state, np.random.Generator(bits)
+    for key in column_keys(seed, m).tolist():
+        state["state"]["key"] = key
+        bits.state = state
+        yield rng
 
 
 def subgaussian_magnitude_bound(C_lb: float) -> float:
@@ -94,8 +158,7 @@ def gen_dictionary(n: int, m: int, rng_seed) -> np.ndarray:
     if n < 1 or m < 1:
         raise ValueError(f"Dimensions must be >= 1, got n={n}, m={m}")
     A = np.empty((n, m), order="F")
-    for i in range(m):
-        rng = _column_rng(rng_seed, i)
+    for i, rng in enumerate(_column_streams(rng_seed, m)):
         for _ in range(_REDRAW_LIMIT):
             g = rng.standard_normal(n)
             norm = float(np.linalg.norm(g))
@@ -120,24 +183,35 @@ def gen_sparse_factor(
     Rademacher non-zeros are +-1 uniform; bounded sub-Gaussian non-zeros
     are sign * magnitude with magnitude uniform on [C_lb, b], calibrated
     to zero mean and unit variance (see subgaussian_magnitude_bound).
-    Per column, the stream draws dim support uniforms first, then the
-    non-zero values.
+
+    Column c reads the raw 64-bit words u of its stream, as a Generator
+    drawing random(dim), integers(0, 2, k) and random(k) would, with k
+    the column's support size:
+    - row j is in the support when the double (u[j] >> 11) * 2^-53 < prob;
+    - the sign of the r-th non-zero is the top bit of the r-th 32-bit
+      half after u[dim - 1], low half first: Lemire's method at range 2;
+    - its magnitude is the double of u[dim + ceil(k/2) + r]; a double
+      takes a fresh word and skips a buffered 32-bit half.
     """
     if not 0.0 < prob < 1.0:
         raise ValueError(f"prob must lie in (0, 1), got {prob}")
-    F = np.zeros((dim, m), order="F")
     b = subgaussian_magnitude_bound(C_lb)
-    for i in range(m):
-        rng = _column_rng(rng_seed, i)
-        support = np.flatnonzero(rng.random(dim) < prob)
-        if support.size == 0:
-            continue
-        signs = 2.0 * rng.integers(0, 2, size=support.size) - 1.0
-        if dist is Distribution.RADEMACHER:
-            F[support, i] = signs
-        else:
-            mags = C_lb + (b - C_lb) * rng.random(support.size)
-            F[support, i] = signs * mags
+    rademacher = dist is Distribution.RADEMACHER
+    width = dim + (dim + 1) // 2 + (0 if rademacher else dim)  # enough for k = dim
+    raw = np.empty((m, width), dtype=np.uint64)
+    for c, rng in enumerate(_column_streams(rng_seed, m)):
+        raw[c] = rng.bit_generator.random_raw(width)
+    support = (raw[:, :dim] >> 11) * 2.0**-53 < prob
+    col, row = np.nonzero(support)
+    k = support.sum(axis=1)
+    r = np.arange(col.size) - (np.cumsum(k) - k)[col]  # rank of each non-zero in its column
+    halves = raw.astype("<u8", copy=False).view("<u4")  # low half first, as Philox hands them out
+    values = 2.0 * (halves[col, 2 * dim + r] >> 31) - 1.0
+    if not rademacher:
+        u = (raw[col, dim + (k[col] + 1) // 2 + r] >> 11) * 2.0**-53
+        values = values * (C_lb + (b - C_lb) * u)
+    F = np.zeros((dim, m), order="F")
+    F.T[col, row] = values
     return F
 
 
@@ -160,8 +234,7 @@ def perturb_init(A_star, eps0: float, rng_seed) -> np.ndarray:
     theta = 2.0 * math.asin(eps0 / 2.0)
     cos_t, sin_t = math.cos(theta), math.sin(theta)
     A0 = np.empty_like(A_star)
-    for i in range(m):
-        rng = _column_rng(rng_seed, i)
+    for i, rng in enumerate(_column_streams(rng_seed, m)):
         a = A_star[:, i]
         for _ in range(_REDRAW_LIMIT):
             g = rng.standard_normal(n)

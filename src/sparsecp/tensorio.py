@@ -116,24 +116,13 @@ def _decode(path, raw: bytes) -> str:
         raise ValueError(f"{path}:{lineno}: invalid UTF-8 byte 0x{raw[exc.start]:02x}") from None
 
 
-def _raise_undecodable(path, exc: UnicodeDecodeError) -> NoReturn:
-    """Read the file at path again as bytes and raise its invalid UTF-8 with the line.
+def _read_lines(path) -> list[str]:
+    """Return the file's lines, split by universal newlines as open() would.
 
-    Only a rejected file gets here; a pipe yields nothing the second time,
-    so its error names the file only.
+    The bytes are read once, so invalid UTF-8 names its line through a pipe too.
     """
     with open(path, "rb") as fh:
-        _decode(path, fh.read())
-    raise ValueError(f"{path}: {exc}") from exc
-
-
-def _read_lines(path) -> list[str]:
-    """Return the file's lines; invalid UTF-8 raises ValueError naming its line."""
-    try:
-        with open(path, encoding="utf-8") as fh:
-            return fh.readlines()
-    except UnicodeDecodeError as exc:
-        _raise_undecodable(path, exc)
+        return io.StringIO(_decode(path, fh.read()), newline=None).readlines()
 
 
 def _raise_first_bad_line(path, held: str | None) -> NoReturn:
@@ -150,8 +139,10 @@ def _raise_first_bad_line(path, held: str | None) -> NoReturn:
                 text = _strip_comment(rawline)
                 if text:
                     _check_entry(path, lineno, text, shape, seen)
-    except UnicodeDecodeError as exc:
-        _raise_undecodable(path, exc)
+    except UnicodeDecodeError as exc:  # a regular file: read it again as bytes for the line
+        with open(path, "rb") as fh:
+            _decode(path, fh.read())
+        raise ValueError(f"{path}: {exc}") from exc
     raise RuntimeError(
         f"{path}: the bulk reader rejected the file, but no line breaks the TNSR3 rules"
     )

@@ -3,7 +3,8 @@
 The independent references use plain numpy/scipy only, so the production
 kernels are checked against algorithms that share no code with them
 (one-sided Jacobi SVD vs LAPACK, the Hungarian assignment vs greedy
-matching, triple loops vs einsum). The checks at the end (spectral_norm,
+matching, triple loops vs einsum, numpy's Generator methods per column vs
+the raw-word draw). The checks at the end (spectral_norm,
 incoherence, closeness_check, descent_correlation) are used by tests
 only; unlike the references, they are built on the package's public
 functions.
@@ -16,6 +17,7 @@ from scipy.optimize import linear_sum_assignment
 
 from sparsecp.linalg import column_norms, rank1_svd
 from sparsecp.metrics import align_columns, column_errors, match_columns
+from sparsecp.synth import Distribution, child_seed, subgaussian_magnitude_bound
 
 
 def jacobi_sigma1(M, sweeps: int = 60, tol: float = 1e-14) -> float:
@@ -98,6 +100,26 @@ def residual_iht(A, y, x0, eta: float, tau: float, R: int) -> np.ndarray:
         x = x - eta * (A.T @ (A @ x - y))
         x[np.abs(x) < tau] = 0.0
     return x
+
+
+def sparse_factor_per_column(dim, m, prob, dist, C_lb, rng_seed) -> np.ndarray:
+    """gen_sparse_factor the slow way: a SeedSequence, a Philox and a Generator
+    per column, which draws dim support uniforms, then the non-zeros' signs
+    by integers(0, 2), then their magnitudes."""
+    F = np.zeros((dim, m), order="F")
+    b = subgaussian_magnitude_bound(C_lb)
+    for i in range(m):
+        rng = np.random.Generator(np.random.Philox(child_seed(rng_seed, i)))
+        support = np.flatnonzero(rng.random(dim) < prob)
+        if support.size == 0:
+            continue
+        signs = 2.0 * rng.integers(0, 2, size=support.size) - 1.0
+        if dist is Distribution.RADEMACHER:
+            F[support, i] = signs
+        else:
+            mags = C_lb + (b - C_lb) * rng.random(support.size)
+            F[support, i] = signs * mags
+    return F
 
 
 def nonzero_fibers(Z):

@@ -84,7 +84,7 @@ def test_non_finite_float_is_rejected_naming_its_key(tmp_path, capsys, key, valu
     assert not (tmp_path / "x").exists()
 
 
-@pytest.mark.parametrize("n", ["1", "2"])
+@pytest.mark.parametrize("n", ["2"])
 def test_synth_run_with_too_few_rows_asks_for_eps0(tmp_path, capsys, n):
     code = main(["synth-run", *FAST, "--n", n, "--out", str(tmp_path / "x")])
     assert code == 1
@@ -92,16 +92,32 @@ def test_synth_run_with_too_few_rows_asks_for_eps0(tmp_path, capsys, n):
     assert err == f"error: No default eps0 for n = {n} (needs n >= 3); set eps0\n"
 
 
-@pytest.mark.parametrize("n", [1, 2])
-def test_decompose_with_too_few_rows_runs(tmp_path, capsys, n):
-    # file runs start from random unit columns and never resolve eps0
+def tiny_tnsr(path, n):
     Z = np.zeros((n, 2, 2))
     Z[0, 0, 0], Z[-1, 1, 0], Z[0, 1, 1] = 1.0, -0.5, 2.0
-    p = tmp_path / "z.tnsr"
-    write_tnsr(p, Z)
-    code = main(["decompose", str(p), "--m", "2", "--eta_A", "1.0", "--out", str(tmp_path / "d")])
+    write_tnsr(path, Z)
+    return str(path)
+
+
+@pytest.mark.parametrize("n", [2])
+def test_decompose_with_too_few_rows_runs(tmp_path, capsys, n):
+    # file runs start from random unit columns and never resolve eps0
+    p = tiny_tnsr(tmp_path / "z.tnsr", n)
+    code = main(["decompose", p, "--m", "2", "--eta_A", "1.0", "--out", str(tmp_path / "d")])
     assert code in (0, 2)
     assert "stop_reason=" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("command", ["synth-run", "decompose"])
+def test_one_row_is_rejected(tmp_path, capsys, command):
+    # a unit column in R^1 is +-1 and cannot move, so no run with n = 1 means anything
+    args = (
+        ["synth-run", *FAST, "--n", "1", "--eps0", "0.5"] if command == "synth-run"
+        else ["decompose", tiny_tnsr(tmp_path / "z.tnsr", 1), "--m", "2", "--eta_A", "1.0"]
+    )
+    assert main([*args, "--out", str(tmp_path / "d")]) == 1
+    assert capsys.readouterr().err == "error: n must be >= 2, got 1\n"
+    assert not (tmp_path / "d").exists()
 
 
 def tnsr_lines(Z):

@@ -312,8 +312,8 @@ def test_ingest_random_corruption_names_its_line(tmp_path_factory, text, data):
 
 
 
-def ingest_through_pipe(body):
-    """Ingest body (text or bytes) as read from an OS pipe by its /dev/fd name.
+def read_through_pipe(body, read=ingest_tensor):
+    """Read body (text or bytes) with read, from an OS pipe by its /dev/fd name.
 
     A thread feeds the pipe.
     """
@@ -328,7 +328,7 @@ def ingest_through_pipe(body):
     writer = threading.Thread(target=feed)
     writer.start()
     try:
-        return ingest_tensor(f"/dev/fd/{r}")
+        return read(f"/dev/fd/{r}")
     finally:
         writer.join()
         os.close(r)
@@ -349,14 +349,14 @@ def test_ingest_from_a_pipe_reads_every_entry(tmp_path):
     body = big_body((40, 50, 60), 6000)
     assert len(body) > 2**17
     by_file = ingest_tensor(tensor_file(tmp_path, body))
-    by_pipe = ingest_through_pipe(body)
+    by_pipe = read_through_pipe(body)
     assert np.array_equal(by_pipe.cmap.kept, by_file.cmap.kept)
     assert np.array_equal(by_pipe.Y, by_file.Y)
-    small = ingest_through_pipe(LAYOUT_VARIANTS["comments between"])
+    small = read_through_pipe(LAYOUT_VARIANTS["comments between"])
     assert np.array_equal(small.Y, [[5.0, 0.0], [0.0, -1.5]])
-    assert ingest_through_pipe("TNSR3 2 3 4\n").Y.shape == (2, 0)
+    assert read_through_pipe("TNSR3 2 3 4\n").Y.shape == (2, 0)
     with pytest.raises(ValueError, match=":3: duplicate coordinate"):
-        ingest_through_pipe("TNSR3 2 2 2\n1 1 1 1.0\n1 1 1 2.0\n")
+        read_through_pipe("TNSR3 2 2 2\n1 1 1 1.0\n1 1 1 2.0\n")
 
 
 def test_ingest_names_the_line_of_invalid_utf8(tmp_path):
@@ -374,7 +374,7 @@ def test_ingest_names_the_line_of_invalid_utf8(tmp_path):
         with pytest.raises(ValueError, match=expect):
             ingest_tensor(path)
         with pytest.raises(ValueError, match=rf"/dev/fd/\d+:{line}: invalid UTF-8 byte"):
-            ingest_through_pipe(body)
+            read_through_pipe(body)
 
 
 @pytest.mark.parametrize("suffix", [".gz", ".bz2", ".xz", ".lzma"])
@@ -544,6 +544,8 @@ def test_matrix_csv_names_the_line_of_invalid_utf8(tmp_path):
     p.write_bytes(b"2,2\n1.0,2.0\n\n3.0,\xe94.0\n")
     with pytest.raises(ValueError, match=r"m\.csv:4: invalid UTF-8 byte 0xe9$"):
         read_matrix_csv(p)
+    with pytest.raises(ValueError, match=r"/dev/fd/\d+:4: invalid UTF-8 byte 0xe9$"):
+        read_through_pipe(p.read_bytes(), read_matrix_csv)
 
 
 # config ------------------------------------------------------------------
@@ -572,6 +574,8 @@ def test_config_file_names_the_line_of_invalid_utf8(tmp_path):
     p.write_bytes(b"n=3\r\n# caf\xe9 au lait\r\nJ=4\r\n")
     with pytest.raises(ValueError, match=r"run\.cfg:2: invalid UTF-8 byte 0xe9$"):
         parse_config_file(p)
+    with pytest.raises(ValueError, match=r"/dev/fd/\d+:2: invalid UTF-8 byte 0xe9$"):
+        read_through_pipe(p.read_bytes(), parse_config_file)
 
 
 KEY = st.text("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ_0123456789", min_size=1,

@@ -515,13 +515,15 @@ def test_eps0_default_tracks_log_n():
 
 
 def test_eps0_has_no_default_below_three_rows():
-    for n in (1, 2):
-        with pytest.raises(ValueError, match=f"No default eps0 for n = {n} .*set eps0"):
-            cfg_small(n=n).resolved_eps0()
-        assert cfg_small(n=n, eps0=0.5).resolved_eps0() == 0.5
+    with pytest.raises(ValueError, match="No default eps0 for n = 2 .*set eps0"):
+        cfg_small(n=2).resolved_eps0()
+    assert cfg_small(n=2, eps0=0.5).resolved_eps0() == 0.5
 
 
 def test_config_validation():
+    for n in (1, 0):  # a unit column in R^1 is +-1: no run with n = 1 can learn
+        with pytest.raises(ValueError, match=f"^n must be >= 2, got {n}$"):
+            cfg_small(n=n, eps0=0.5)
     with pytest.raises(ValueError, match="alpha"):
         cfg_small(alpha=1.5)
     with pytest.raises(ValueError, match="T_max"):

@@ -2,13 +2,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from oracles import closeness_check, incoherence
+from oracles import closeness_check, incoherence, sparse_factor_per_column
 from sparsecp.linalg import column_norms
 from sparsecp.synth import (
     Distribution,
     SparsityParams,
     child_seed,
+    column_keys,
     gen_dictionary,
     gen_sparse_factor,
     gen_tensor_instance,
@@ -67,6 +69,63 @@ def test_sparse_factor_subgaussian_moments():
     assert vals.max() <= subgaussian_magnitude_bound(C_lb) + 1e-12
     # calibrated to unit second moment; 500k draws pin the mean tightly
     assert 0.95 <= np.mean(vals**2) <= 1.05
+
+
+# ints of 1 to 6 words (past the 4-word pool), tuple entropy as in (seed, 1),
+# and SeedSequences with 0-3 spawn words, some of them past 2^32
+SEEDS = st.one_of(
+    st.integers(0, 2**160),
+    st.tuples(st.integers(0, 2**40), st.integers(0, 3)),
+    st.builds(
+        lambda entropy, key: np.random.SeedSequence(entropy, spawn_key=tuple(key)),
+        st.one_of(st.integers(0, 2**160), st.lists(st.integers(0, 2**32 - 1), min_size=1, max_size=6)),
+        st.lists(st.integers(0, 2**33), max_size=3),
+    ),
+)
+PROBS = st.one_of(
+    st.floats(1e-12, 0.02),
+    st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+    st.floats(0.98, 1.0, exclude_max=True),
+)
+
+
+@settings(max_examples=80, deadline=None)
+@given(SEEDS, st.integers(0, 70))
+def test_column_keys_are_the_child_seeds_philox_keys(seed, m):
+    keys = column_keys(seed, m)
+    assert keys.shape == (m, 2) and keys.dtype == np.uint64
+    for c in range(m):
+        assert np.array_equal(keys[c], child_seed(seed, c).generate_state(2, np.uint64))
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    st.integers(1, 400),
+    st.integers(1, 60),
+    PROBS,
+    st.sampled_from(Distribution),
+    st.floats(0.0, 1.0, exclude_min=True),
+    SEEDS,
+)
+def test_sparse_factor_is_the_per_column_generator_draw(dim, m, prob, dist, C_lb, seed):
+    F = gen_sparse_factor(dim, m, prob, dist, C_lb, seed)
+    assert F.flags.f_contiguous
+    assert F.tobytes() == sparse_factor_per_column(dim, m, prob, dist, C_lb, seed).tobytes()
+
+
+@pytest.mark.parametrize("seed", [42, 2**70 + 5, (3, 1), child_seed(7, 3, 1)])
+def test_dictionary_and_init_draw_the_child_seed_streams(seed):
+    A = gen_dictionary(30, 9, seed)
+    A0 = perturb_init(A, 0.4, child_seed(seed, 99))
+    theta = 2.0 * math.asin(0.4 / 2.0)
+    for c in range(9):
+        g = np.random.Generator(np.random.Philox(child_seed(seed, c))).standard_normal(30)
+        assert A[:, c].tobytes() == (g / float(np.linalg.norm(g))).tobytes()
+        a = A[:, c]
+        g = np.random.Generator(np.random.Philox(child_seed(seed, 99, c))).standard_normal(30)
+        w = g - (a @ g) * a
+        expect = math.cos(theta) * a + (math.sin(theta) / float(np.linalg.norm(w))) * w
+        assert A0[:, c].tobytes() == expect.tobytes()
 
 
 def test_sparse_factor_validates_prob():
