@@ -111,6 +111,8 @@ def _cmd_eval(args) -> int:
         raise ValueError(
             f"Shape mismatch: estimate {est.shape} vs reference {ref.shape}"
         )
+    if est.shape[1] == 0:
+        raise ValueError(f"{args.estimate}: matrix has no columns")
     align = match_columns(est, ref)
     errs = column_errors(est, ref, align)
     relF = rel_frobenius(align_columns(est, align), ref)

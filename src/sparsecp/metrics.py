@@ -2,11 +2,12 @@
 
 Estimated factors are only defined up to a column permutation and signs,
 so every comparison first computes a greedy sign/permutation alignment
-and then measures errors on the aligned columns. Every function takes
-float64 2-D arrays as given: shapes are checked, entries are not (the
-online loop calls these on arrays it built itself). data_fit takes the
-residual A X - Y that the loop forms once for the gradient, so it runs
-no product of its own.
+and then measures errors on the aligned columns. The scores work on
+whole arrays; only the greedy walk over sorted pairs is a Python loop.
+Every function takes float64 2-D arrays as given: shapes are checked,
+entries are not (the online loop calls these on arrays it built itself).
+data_fit takes the residual A X - Y that the loop forms once for the
+gradient, so it runs no product of its own.
 """
 
 from __future__ import annotations
@@ -57,6 +58,13 @@ class ColumnErrors:
     per_col: np.ndarray = field(repr=False)
 
 
+def _same_shape(M, M_ref) -> None:
+    if M.shape != M_ref.shape:
+        raise ValueError(
+            f"Shape mismatch: {M.shape[0]}x{M.shape[1]} vs {M_ref.shape[0]}x{M_ref.shape[1]}"
+        )
+
+
 def match_columns(A, A_ref) -> Alignment:
     """Return the greedy max-|inner product| alignment of A's columns to A_ref's.
 
@@ -64,36 +72,24 @@ def match_columns(A, A_ref) -> Alignment:
     (reference, estimate) index pair. Callers normalize sparse factors
     before matching.
     """
-    if A.shape != A_ref.shape:
-        raise ValueError(
-            f"Shape mismatch: {A.shape[0]}x{A.shape[1]} vs {A_ref.shape[0]}x{A_ref.shape[1]}"
-        )
+    _same_shape(A, A_ref)
     m = A.shape[1]
     G = A.T @ A_ref  # G[i, j] = <A_i, A_ref_j>
     score = np.abs(G)
-    i_flat, j_flat = np.divmod(np.arange(m * m, dtype=np.int64), m)
-    # Primary: score descending; ties: lowest j, then lowest i.
-    order = np.lexsort((i_flat, j_flat, -score.ravel()))
-    perm = np.full(m, -1, dtype=np.int64)
-    signs = np.empty(m)
-    scores = np.empty(m)
-    used_i = np.zeros(m, dtype=bool)
-    used_j = np.zeros(m, dtype=bool)
-    matched = 0
-    for idx in order:
-        i = int(i_flat[idx])
-        j = int(j_flat[idx])
-        if used_i[i] or used_j[j]:
-            continue
-        perm[j] = i
-        signs[j] = -1.0 if G[i, j] < 0.0 else 1.0
-        scores[j] = score[i, j]
-        used_i[i] = True
-        used_j[j] = True
-        matched += 1
-        if matched == m:
-            break
-    return Alignment(perm, signs, scores)
+    # score.T flattens as j*m + i, so a stable sort breaks ties by j, then i
+    j_order, i_order = np.divmod(np.argsort(-score.T.ravel(), kind="stable"), m)
+    perm = [-1] * m
+    used = [False] * m
+    left = m
+    for j, i in zip(j_order.tolist(), i_order.tolist()):
+        if perm[j] < 0 and not used[i]:
+            perm[j] = i
+            used[i] = True
+            left -= 1
+            if not left:
+                break
+    cols = np.arange(m)
+    return Alignment(perm, np.where(G[perm, cols] < 0.0, -1.0, 1.0), score[perm, cols])
 
 
 def align_columns(M, align: Alignment) -> np.ndarray:
@@ -123,35 +119,20 @@ def normalized_column_errors(F, F_ref, align: Alignment) -> np.ndarray:
     than through sqrt(2 - 2|cos|), which would floor at sqrt(eps) for
     near-exact recoveries.
     """
-    if F.shape != F_ref.shape:
-        raise ValueError(
-            f"Shape mismatch: {F.shape[0]}x{F.shape[1]} vs {F_ref.shape[0]}x{F_ref.shape[1]}"
-        )
+    _same_shape(F, F_ref)
     Fa = F[:, align.perm]
     nf = column_norms(Fa)
     nr = column_norms(F_ref)
-    m = F.shape[1]
-    errs = np.empty(m)
-    for j in range(m):
-        if nf[j] == 0.0 and nr[j] == 0.0:
-            errs[j] = 0.0
-        elif nf[j] == 0.0 or nr[j] == 0.0:
-            errs[j] = 1.0
-        else:
-            f = Fa[:, j] / nf[j]
-            r = F_ref[:, j] / nr[j]
-            errs[j] = min(
-                float(np.linalg.norm(f - r)), float(np.linalg.norm(f + r))
-            )
-    return errs
+    zf, zr = nf == 0.0, nr == 0.0
+    f = Fa / np.where(zf, 1.0, nf)
+    r = F_ref / np.where(zr, 1.0, nr)
+    errs = np.minimum(np.linalg.norm(f - r, axis=0), np.linalg.norm(f + r, axis=0))
+    return np.where(zf | zr, zf != zr, errs)
 
 
 def rel_frobenius(M, M_ref) -> float:
     """Return ||M - M_ref||_F / ||M_ref||_F."""
-    if M.shape != M_ref.shape:
-        raise ValueError(
-            f"Shape mismatch: {M.shape[0]}x{M.shape[1]} vs {M_ref.shape[0]}x{M_ref.shape[1]}"
-        )
+    _same_shape(M, M_ref)
     denom = float(np.linalg.norm(M_ref))
     if denom == 0.0:
         raise ValueError("Reference matrix has zero Frobenius norm")
@@ -160,19 +141,13 @@ def rel_frobenius(M, M_ref) -> float:
 
 def signed_support_equal(X, X_ref) -> bool:
     """Return True iff sign(X) == sign(X_ref) entrywise, with sign(0) = 0."""
-    if X.shape != X_ref.shape:
-        raise ValueError(
-            f"Shape mismatch: {X.shape[0]}x{X.shape[1]} vs {X_ref.shape[0]}x{X_ref.shape[1]}"
-        )
+    _same_shape(X, X_ref)
     return bool(np.array_equal(np.sign(X), np.sign(X_ref)))
 
 
 def data_fit(Y, R) -> float:
     """Return ||R||_F / ||Y||_F, where R = A X - Y is the sample's residual."""
-    if R.shape != Y.shape:
-        raise ValueError(
-            f"Shape mismatch: {R.shape[0]}x{R.shape[1]} vs {Y.shape[0]}x{Y.shape[1]}"
-        )
+    _same_shape(R, Y)
     denom = float(np.linalg.norm(Y))
     if denom == 0.0:
         raise ValueError("Y has zero Frobenius norm")

@@ -163,8 +163,6 @@ def extract_nonzero_columns(
     """
     if zero_tol < 0.0:
         raise ValueError(f"zero_tol must be >= 0, got {zero_tol}")
-    if Z1T.shape[1] == 0:
-        return Z1T, ColumnIndexMap(0, np.empty(0, dtype=np.int64))
     # Columnwise max |entry| without materializing |Z1T|.
     peak = np.maximum(Z1T.max(axis=0), -Z1T.min(axis=0))
     kept = np.flatnonzero(peak > zero_tol).astype(np.int64)

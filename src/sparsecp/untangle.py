@@ -80,6 +80,8 @@ def untangle_codes(X, cmap: ColumnIndexMap, J: int, K: int) -> UntangledFactors:
 
 def untangle_krp(Shat, J: int, K: int) -> UntangledFactors:
     """Return UntangledFactors(B, C) from the m x JK scattered code matrix."""
+    if J < 1 or K < 1:
+        raise ValueError(f"Dimensions must be >= 1, got J={J}, K={K}")
     Shat = as_matrix(Shat)
     if Shat.shape[1] != J * K:
         raise ValueError(

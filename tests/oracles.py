@@ -4,10 +4,12 @@ The independent references use plain numpy/scipy only, so the production
 kernels are checked against algorithms that share no code with them
 (one-sided Jacobi SVD vs LAPACK, the Hungarian assignment vs greedy
 matching, triple loops vs einsum, numpy's Generator methods per column vs
-the raw-word draw). The checks at the end (spectral_norm,
-incoherence, closeness_check, descent_correlation) are used by tests
-only; unlike the references, they are built on the package's public
-functions.
+the raw-word draw). The earlier loop and lexsort forms of match_columns
+and normalized_column_errors are kept as they were (on column_norms) to
+pin the whole-array ones to the same results. The checks at the end
+(spectral_norm, incoherence, closeness_check, descent_correlation) are
+used by tests only; unlike the references, they are built on the
+package's public functions.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ import numpy as np
 from scipy.optimize import linear_sum_assignment
 
 from sparsecp.linalg import column_norms, rank1_svd
-from sparsecp.metrics import align_columns, column_errors, match_columns
+from sparsecp.metrics import Alignment, align_columns, column_errors, match_columns
 from sparsecp.synth import Distribution, child_seed, subgaussian_magnitude_bound
 
 
@@ -61,6 +63,52 @@ def hungarian_alignment(A, A_ref):
         perm[j] = i
         signs[j] = -1 if G[i, j] < 0 else 1
     return perm, signs
+
+
+def match_columns_lexsort(A, A_ref) -> Alignment:
+    """match_columns with its tie rule spelled out: pairs by descending
+    |inner product|, then lowest reference index j, then lowest estimate
+    index i, taken greedily."""
+    m = A.shape[1]
+    G = A.T @ A_ref
+    score = np.abs(G)
+    i_flat, j_flat = np.divmod(np.arange(m * m, dtype=np.int64), m)
+    order = np.lexsort((i_flat, j_flat, -score.ravel()))
+    perm = np.full(m, -1, dtype=np.int64)
+    signs = np.empty(m)
+    scores = np.empty(m)
+    used_i = np.zeros(m, dtype=bool)
+    used_j = np.zeros(m, dtype=bool)
+    for idx in order:
+        i = int(i_flat[idx])
+        j = int(j_flat[idx])
+        if used_i[i] or used_j[j]:
+            continue
+        perm[j] = i
+        signs[j] = -1.0 if G[i, j] < 0.0 else 1.0
+        scores[j] = score[i, j]
+        used_i[i] = True
+        used_j[j] = True
+    return Alignment(perm, signs, scores)
+
+
+def normalized_column_errors_loop(F, F_ref, align: Alignment) -> np.ndarray:
+    """normalized_column_errors one column at a time, with 1-D norms."""
+    Fa = F[:, align.perm]
+    nf = column_norms(Fa)
+    nr = column_norms(F_ref)
+    m = F.shape[1]
+    errs = np.empty(m)
+    for j in range(m):
+        if nf[j] == 0.0 and nr[j] == 0.0:
+            errs[j] = 0.0
+        elif nf[j] == 0.0 or nr[j] == 0.0:
+            errs[j] = 1.0
+        else:
+            f = Fa[:, j] / nf[j]
+            r = F_ref[:, j] / nr[j]
+            errs[j] = min(float(np.linalg.norm(f - r)), float(np.linalg.norm(f + r)))
+    return errs
 
 
 def compose_triple_loop(A, B, C) -> np.ndarray:

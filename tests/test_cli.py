@@ -262,6 +262,16 @@ def test_untangle_rejects_bad_dims(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error: ")
 
 
+def test_untangle_rejects_negative_dims(tmp_path, capsys):
+    # J*K = 6 matches the column count, so only the sign check catches it
+    src = tmp_path / "S.csv"
+    write_matrix_csv(src, np.ones((2, 6)))
+    code = main(["untangle", str(src), "--J=-2", "--K=-3", "--out", str(tmp_path / "u")])
+    assert code == 1
+    assert "error: Dimensions must be >= 1, got J=-2, K=-3" in capsys.readouterr().err
+    assert not (tmp_path / "u").exists()
+
+
 def test_usage_errors_exit_1_and_help_exits_0(tmp_path, capsys):
     # 2 is reserved for runs that stop without converging
     with pytest.raises(SystemExit) as exc:
@@ -300,3 +310,10 @@ def test_eval_command(tmp_path, capsys):
     assert "err_col_max=" in msg and "err_relF=" in msg
     val = float(msg.split("err_col_max=")[1].split()[0])
     assert val <= 1e-12
+
+
+def test_eval_rejects_matrix_without_columns(tmp_path, capsys):
+    empty = tmp_path / "E.csv"
+    empty.write_text("0,0\n", encoding="utf-8")
+    assert main(["eval", str(empty), str(empty)]) == 1
+    assert capsys.readouterr().err == f"error: {empty}: matrix has no columns\n"

@@ -1,8 +1,16 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from oracles import closeness_check, hungarian_alignment, incoherence
+from oracles import (
+    closeness_check,
+    hungarian_alignment,
+    incoherence,
+    match_columns_lexsort,
+    normalized_column_errors_loop,
+)
 from sparsecp.metrics import (
+    Alignment,
     align_columns,
     align_rows,
     column_errors,
@@ -70,6 +78,37 @@ def test_match_agrees_with_assignment_oracle():
         assert np.array_equal(al.signs, signs_o)
 
 
+def assert_same_alignment(got, want):
+    assert np.array_equal(got.perm, want.perm)
+    assert np.array_equal(got.signs, want.signs)
+    assert np.array_equal(got.matched_scores, want.matched_scores)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 6), st.integers(1, 9), st.integers(1, 3), st.integers(0, 2**32 - 1))
+def test_match_equals_lexsort_oracle_on_tied_scores(n, m, span, seed):
+    # small integer entries: many inner products tie exactly, zeros included
+    rng = np.random.default_rng(seed)
+    A = rng.integers(-span, span + 1, size=(n, m)).astype(np.float64)
+    A_ref = rng.integers(-span, span + 1, size=(n, m)).astype(np.float64)
+    assert_same_alignment(match_columns(A, A_ref), match_columns_lexsort(A, A_ref))
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.integers(1, 30),
+    st.integers(1, 12),
+    st.sampled_from([0.0, 1e-12, 0.05, 0.5, 2.0]),
+    st.integers(0, 2**32 - 1),
+)
+def test_match_equals_lexsort_oracle_on_signed_permutations(n, m, noise, seed):
+    rng = np.random.default_rng(seed)
+    A_ref = rng.standard_normal((n, m))
+    flips = rng.choice([-1.0, 1.0], size=m)
+    A = A_ref[:, rng.permutation(m)] * flips + noise * rng.standard_normal((n, m))
+    assert_same_alignment(match_columns(A, A_ref), match_columns_lexsort(A, A_ref))
+
+
 def test_match_is_involution_after_alignment():
     A_ref = gen_dictionary(25, 6, 1)
     A = perturb_init(A_ref, 0.3, rng_seed=2)[:, ::-1]
@@ -135,6 +174,53 @@ def test_normalized_column_errors_zero_handling():
     assert errs[2] == 1.0
     # entrywise difference keeps full precision on self comparison
     assert np.array_equal(normalized_column_errors(F_ref, F_ref, al), np.zeros(3))
+
+
+def random_alignment(rng, m):
+    return Alignment(rng.permutation(m), rng.choice([-1.0, 1.0], m), np.ones(m))
+
+
+def sparse_matrix(rng, dim, m, prob):
+    return np.where(rng.random((dim, m)) < prob, rng.standard_normal((dim, m)), 0.0)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.integers(1, 120),
+    st.integers(1, 12),
+    st.floats(min_value=0.0, max_value=1.0),
+    st.integers(0, 2**32 - 1),
+)
+def test_normalized_column_errors_matches_loop_oracle(dim, m, prob, seed):
+    rng = np.random.default_rng(seed)
+    F_ref = sparse_matrix(rng, dim, m, prob)
+    align = random_alignment(rng, m)
+    # half the time, an estimate close to the reference up to sign and scale
+    if rng.random() < 0.5:
+        F = align_columns(F_ref, align) * rng.uniform(0.5, 2.0, m)
+        F = F + 1e-9 * sparse_matrix(rng, dim, m, prob)
+    else:
+        F = sparse_matrix(rng, dim, m, prob)
+    errs = normalized_column_errors(F, F_ref, align)
+    want = normalized_column_errors_loop(F, F_ref, align)
+    assert errs.shape == (m,)
+    assert np.max(np.abs(errs - want)) <= 1e-15
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 20), st.integers(1, 10), st.integers(0, 2**32 - 1))
+def test_normalized_column_errors_zero_patterns(dim, m, seed):
+    rng = np.random.default_rng(seed)
+    zero_est, zero_ref = rng.random(m) < 0.5, rng.random(m) < 0.5
+    F_ref = rng.standard_normal((dim, m))
+    F_ref[:, zero_ref] = 0.0
+    align = random_alignment(rng, m)
+    F = rng.standard_normal((dim, m))
+    F[:, align.perm[zero_est]] = 0.0  # estimate column perm[j] meets reference j
+    errs = normalized_column_errors(F, F_ref, align)
+    assert np.all(errs[zero_est & zero_ref] == 0.0)
+    assert np.all(errs[zero_est != zero_ref] == 1.0)
+    assert np.max(np.abs(errs - normalized_column_errors_loop(F, F_ref, align))) <= 1e-15
 
 
 # scalar metrics ----------------------------------------------------------

@@ -123,6 +123,11 @@ def test_extract_all_zero():
     Y, cmap = extract_nonzero_columns(np.zeros((3, 6)), 0.0)
     assert Y.shape == (3, 0)
     assert cmap.p == 0
+    # no columns at all: the input comes back with an empty map over 0 columns
+    M = np.zeros((3, 0))
+    Y, cmap = extract_nonzero_columns(M, 0.0)
+    assert Y is M
+    assert cmap.total_cols == 0 and cmap.p == 0
 
 
 def test_extract_keeps_everything_when_dense():

@@ -1,12 +1,20 @@
 """The benchmark's tracer (perfbench/spans.py) wraps package attributes by
-name; a refactor that drops one breaks every traced benchmark run."""
+name, and its child (perfbench/solve.py) calls more of the package; a
+refactor that drops or reshapes one breaks every benchmark run."""
 
 import importlib.util
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
+
+import pytest
 
 import sparsecp
 
-SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+ROOT = Path(__file__).resolve().parents[1]
+SPANS = ROOT / "perfbench" / "spans.py"
 
 
 def test_trace_hooks_resolve():
@@ -20,3 +28,25 @@ def test_trace_hooks_resolve():
     ]
     assert spans.WRAPS
     assert not missing, f"perfbench/spans.py wraps names the package lacks: {missing}"
+
+
+@pytest.mark.parametrize("trace", [0, 1])
+def test_benchmark_child_solves_wide_modes(tmp_path, trace):
+    # the child also calls package names outside spans.WRAPS (match_columns,
+    # column_errors, rel_frobenius, emit_outputs without result, ...)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = str(ROOT / "src") + os.pathsep + env.get("PYTHONPATH", "")
+    result = tmp_path / "result.json"
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "perfbench" / "solve.py"), "solve",
+         "--workload", "wide_modes", "--seed", "1", "--trace", str(trace),
+         "--work", str(tmp_path), "--result", str(result)],
+        env=env, cwd=tmp_path, capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    out = json.loads(result.read_text(encoding="utf-8"))
+    assert out["stop_reason"] == "max_iterations"
+    assert out["iterations"] == 8
+    assert ("spans" in out) == bool(trace)
+    if trace:
+        assert out["spans"] > 0

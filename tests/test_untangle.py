@@ -89,6 +89,13 @@ def test_untangle_wrong_column_count():
         untangle_krp(np.ones((2, 10)), J=3, K=4)
 
 
+@pytest.mark.parametrize("J, K, cols", [(-2, -3, 6), (0, 5, 0), (4, -1, 4)])
+def test_untangle_rejects_dims_below_one(J, K, cols):
+    # J*K = cols passes the column count; the dimensions are checked first
+    with pytest.raises(ValueError, match=f"J={J}, K={K}"):
+        untangle_krp(np.ones((2, cols)), J=J, K=K)
+
+
 def test_untangle_near_equal_singular_values():
     # sigma1 and sigma2 differ by 1e-6: the split still takes sigma1 = 1
     S = np.array([[1.0, 0.0, 0.0, 1.0 - 1e-6]])
