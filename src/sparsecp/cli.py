@@ -7,8 +7,9 @@ Subcommands:
   eval        compare two factor CSVs after sign/permutation alignment
 
 Every SolverConfig field is exposed as a --flag of the same name; --config
-loads a key=value file first and flags override it. Exit codes: 0 when the
-run converged, 2 when it stopped at T_max (or ran out of input tensors)
+loads a key=value file first and flags override it. synth-run and decompose
+print one summary line, built from the run's RunResult. Exit codes: 0 when
+the run converged, 2 when it stopped at T_max (or ran out of input tensors)
 without converging, 1 on any error, usage errors included.
 """
 
@@ -60,15 +61,22 @@ def _collect_config(args, defaults: dict[str, str] | None = None) -> SolverConfi
     return SolverConfig.from_mapping(merged)
 
 
-def _exit_code(result: RunResult) -> int:
+def _finish(result: RunResult, cfg: SolverConfig, out) -> int:
+    """Write the run's files, print its summary line and return the exit code."""
+    emit_outputs(result.records, (result.A, result.B, result.C), cfg, out)
+    last = result.records[-1]  # t=0 is always logged
+    state = "converged" if result.converged else "stopped"
+    print(
+        f"{state} t={last.t} p={last.p} err_A_max={last.err_A_max:.3e} "
+        f"data_fit={last.data_fit:.3e} wall_ms={result.wall_ms:.1f} "
+        f"stop_reason={result.stop_reason} -> {out}"
+    )
     return 0 if result.converged else 2
 
 
 def _cmd_synth_run(args) -> int:
     cfg = _collect_config(args)
-    result = run_online(cfg)
-    emit_outputs(result.records, (result.A, result.B, result.C), cfg, args.out, result)
-    return _exit_code(result)
+    return _finish(run_online(cfg), cfg, args.out)
 
 
 def _cmd_decompose(args) -> int:
@@ -85,14 +93,13 @@ def _cmd_decompose(args) -> int:
         "n": str(n), "J": str(J), "K": str(K), "alpha": "0.5", "beta": "0.5",
     }
     cfg = _collect_config(args, defaults)
-    source = FileSource(cfg, tensors)
-    result = run_online(cfg, source)
-    emit_outputs(result.records, (result.A, result.B, result.C), cfg, args.out, result)
-    return _exit_code(result)
+    return _finish(run_online(cfg, FileSource(cfg, tensors)), cfg, args.out)
 
 
 def _cmd_untangle(args) -> int:
     S = read_matrix_csv(args.matrix)
+    if S.shape[0] == 0:
+        raise ValueError(f"{args.matrix}: matrix has no rows")
     J = int(args.J)
     K = int(args.K)
     unf = untangle_krp(S, J, K)

@@ -283,9 +283,12 @@ class RunResult:
     C: np.ndarray
     X: np.ndarray
     stop_reason: str
-    converged: bool
     iterations: int
     wall_ms: float
+
+    @property
+    def converged(self) -> bool:
+        return self.stop_reason == "converged"
 
 
 class TensorSource(Protocol):
@@ -388,7 +391,6 @@ def run_online(cfg: SolverConfig, source: TensorSource | None = None) -> RunResu
     C_last = np.zeros((K, m), order="F")
     X_last = np.zeros((m, 0), order="F")
     stop_reason = "max_iterations"
-    converged = False
     iterations = 0
     record = None
 
@@ -483,7 +485,6 @@ def run_online(cfg: SolverConfig, source: TensorSource | None = None) -> RunResu
         B_last, C_last, X_last = unf.B, unf.C, Xh
         if should_stop:
             stop_reason = "converged"
-            converged = True
             break
 
     if record is not None and records[-1] is not record:
@@ -496,7 +497,6 @@ def run_online(cfg: SolverConfig, source: TensorSource | None = None) -> RunResu
         C=C_last,
         X=X_last,
         stop_reason=stop_reason,
-        converged=converged,
         iterations=iterations,
         wall_ms=(time.perf_counter() - start) * 1000.0,
     )

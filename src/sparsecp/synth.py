@@ -236,6 +236,7 @@ def perturb_init(A_star, eps0: float, rng_seed) -> np.ndarray:
     A0 = np.empty_like(A_star)
     for i, rng in enumerate(_column_streams(rng_seed, m)):
         a = A_star[:, i]
+        # fires when A_star came from gen_dictionary under this same seed: g is parallel to a
         for _ in range(_REDRAW_LIMIT):
             g = rng.standard_normal(n)
             w = g - (a @ g) * a

@@ -8,7 +8,7 @@ shortest string that round-trips to the same double, so factor files
 re-read bit-exactly and repeated runs diff clean. metrics.csv is part of
 the determinism contract: every byte is a function of (config, seed), so
 the wall_ms column is written as 0 there; measured timings stay on the
-in-memory records and in the stdout summary.
+in-memory records. emit_outputs prints nothing: the summary is the CLI's.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from typing import NoReturn, Sequence
 import numpy as np
 
 from .linalg import as_matrix
-from .runner import IterationRecord, RunResult, SolverConfig
+from .runner import IterationRecord, SolverConfig
 from .tensor_core import ColumnIndexMap, FiberSample
 
 __all__ = [
@@ -365,37 +365,13 @@ def write_metrics_csv(path, records: Sequence[IterationRecord]) -> None:
             fh.write(_metrics_row(r) + "\n")
 
 
-def emit_outputs(
-    records, factors, cfg: SolverConfig, out_dir, result: RunResult | None = None
-) -> None:
-    """Write metrics.csv, A/B/C factor CSVs, and a config echo to out_dir,
-    then print a one-line run summary.
+def emit_outputs(records, factors, cfg: SolverConfig, out_dir) -> None:
+    """Write metrics.csv, the A/B/C factor CSVs and a config echo to out_dir.
 
-    factors is the (A, B, C) triple from the run. With result, the
-    summary's state, stop reason and wall_ms come from the run itself, so
-    they agree with the exit code and count every iteration, logged or
-    not. Without it, only the records are known: the state is judged from
-    the last logged err_A_max against eps_T and wall_ms sums the records.
+    factors is the (A, B, C) triple from the run. Nothing is printed.
     """
-    records = list(records)
-    A, B, C = factors
     os.makedirs(out_dir, exist_ok=True)
     write_metrics_csv(os.path.join(out_dir, "metrics.csv"), records)
-    write_matrix_csv(os.path.join(out_dir, "A.csv"), A)
-    write_matrix_csv(os.path.join(out_dir, "B.csv"), B)
-    write_matrix_csv(os.path.join(out_dir, "C.csv"), C)
+    for name, M in zip("ABC", factors, strict=True):
+        write_matrix_csv(os.path.join(out_dir, f"{name}.csv"), M)
     write_config_echo(cfg, os.path.join(out_dir, "config.txt"))
-    if not records:
-        print(f"no iterations logged -> {out_dir}")
-        return
-    last = records[-1]
-    if result is None:
-        state = "converged" if last.err_A_max <= cfg.eps_T else "stopped"
-        reason, total_ms = "", sum(r.wall_ms for r in records)
-    else:
-        state = "converged" if result.converged else "stopped"
-        reason, total_ms = f" stop_reason={result.stop_reason}", result.wall_ms
-    print(
-        f"{state} t={last.t} p={last.p} err_A_max={last.err_A_max:.3e} "
-        f"data_fit={last.data_fit:.3e} wall_ms={total_ms:.1f}{reason} -> {out_dir}"
-    )

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from sparsecp.cli import main
-from sparsecp.runner import SolverConfig
+from sparsecp.runner import IterationRecord, RunResult, SolverConfig
 from sparsecp.synth import Distribution, SparsityParams, gen_dictionary, gen_tensor_instance
 from sparsecp.tensor_core import khatri_rao_transpose
 from sparsecp.tensorio import read_matrix_csv, write_matrix_csv
@@ -35,6 +35,35 @@ def test_synth_run_not_converged_exit_code(tmp_path, capsys):
     )
     assert code == 2
     assert capsys.readouterr().out.startswith("stopped t=1 ")
+
+
+def _record(t, err_A_max):
+    return IterationRecord(
+        t=t, p=12, p_indep=3, err_A_max=err_A_max, err_A_relF=0.0, err_X_relF=0.0,
+        signed_support_ok=True, data_fit=0.25, err_B_max=0.0, err_C_max=0.0,
+        min_descent_corr=0.0, wall_ms=17.25,
+    )
+
+
+@pytest.mark.parametrize(
+    "stop_reason, state, code",
+    [("source_exhausted", "stopped", 2), ("max_iterations", "stopped", 2),
+     ("converged", "converged", 0)],
+    ids=["source_exhausted", "max_iterations", "converged"],
+)
+def test_summary_follows_run_result(tmp_path, capsys, monkeypatch, stop_reason, state, code):
+    # the last logged err_A_max is 0, within any eps_T: only the run knows why it stopped
+    Ms = (np.zeros((40, 6)), np.zeros((15, 6)), np.zeros((15, 6)))
+    result = RunResult((_record(0, 0.5), _record(5, 0.0)), *Ms, X=np.zeros((6, 0)),
+                       stop_reason=stop_reason, iterations=7, wall_ms=1234.5)
+    monkeypatch.setattr("sparsecp.cli.run_online", lambda cfg: result)
+    out = tmp_path / "o"
+    assert main(["synth-run", *FAST, "--out", str(out)]) == code
+    assert capsys.readouterr().out == (
+        f"{state} t=5 p=12 err_A_max=0.000e+00 data_fit=2.500e-01 wall_ms=1234.5 "
+        f"stop_reason={stop_reason} -> {out}\n"
+    )
+    assert (out / "metrics.csv").read_text().splitlines()[-1].startswith("5,12,3,0.0,")
 
 
 def test_synth_run_config_file_and_flag_precedence(tmp_path, capsys):
@@ -269,6 +298,15 @@ def test_untangle_rejects_negative_dims(tmp_path, capsys):
     code = main(["untangle", str(src), "--J=-2", "--K=-3", "--out", str(tmp_path / "u")])
     assert code == 1
     assert "error: Dimensions must be >= 1, got J=-2, K=-3" in capsys.readouterr().err
+    assert not (tmp_path / "u").exists()
+
+
+def test_untangle_rejects_matrix_without_rows(tmp_path, capsys):
+    empty = tmp_path / "S.csv"
+    empty.write_text("0,4\n", encoding="utf-8")
+    code = main(["untangle", str(empty), "--J", "2", "--K", "2", "--out", str(tmp_path / "u")])
+    assert code == 1
+    assert capsys.readouterr().err == f"error: {empty}: matrix has no rows\n"
     assert not (tmp_path / "u").exists()
 
 

@@ -1,3 +1,4 @@
+import dataclasses
 import importlib
 import math
 import pkgutil
@@ -15,6 +16,7 @@ from sparsecp.runner import (
     ETA_A_PRESETS,
     FileSource,
     RunMode,
+    RunResult,
     SolverConfig,
     SyntheticSource,
     run_online,
@@ -138,6 +140,15 @@ def test_convergence_stop():
     assert res.stop_reason == "converged"
     assert res.records[-1].err_A_max <= 1e-10
     assert res.iterations < 300
+
+
+@pytest.mark.parametrize("stop_reason", ["converged", "max_iterations", "source_exhausted"])
+def test_converged_follows_stop_reason(stop_reason):
+    # converged is derived, not stored, so it cannot disagree with stop_reason
+    Z = np.zeros((2, 1))
+    res = RunResult((), Z, Z, Z, Z, stop_reason=stop_reason, iterations=1, wall_ms=0.0)
+    assert res.converged == (stop_reason == "converged")
+    assert "converged" not in {f.name for f in dataclasses.fields(RunResult)}
 
 
 def test_convergence_on_an_unlogged_iteration_is_logged_once():

@@ -201,6 +201,19 @@ def test_perturb_init_within_closeness():
         assert closeness_check(A0, A, 0.5 + 1e-9, 2.0)
 
 
+def test_perturb_init_redraws_direction_parallel_to_column():
+    # one seed for the dictionary and the perturbation: each column's first
+    # draw is the dictionary column unnormalized, so only the redraw helps
+    A = gen_dictionary(100, 20, 6)
+    g = np.random.Generator(np.random.Philox(child_seed(6, 0))).standard_normal(100)
+    a = A[:, 0]
+    assert np.linalg.norm(g - (a @ g) * a) <= 1e-12 * np.linalg.norm(g)
+    eps0 = 0.5
+    A0 = perturb_init(A, eps0, rng_seed=6)
+    assert np.max(np.abs(column_norms(A0) - 1.0)) <= 1e-12
+    assert np.max(np.abs(column_norms(A0 - A) - eps0)) <= 1e-12
+
+
 def instance(seed, n=20, J=6, K=5, m=4, alpha=0.3, beta=0.3):
     A = gen_dictionary(n, m, 0)
     return gen_tensor_instance(

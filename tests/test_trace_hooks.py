@@ -33,7 +33,7 @@ def test_trace_hooks_resolve():
 @pytest.mark.parametrize("trace", [0, 1])
 def test_benchmark_child_solves_wide_modes(tmp_path, trace):
     # the child also calls package names outside spans.WRAPS (match_columns,
-    # column_errors, rel_frobenius, emit_outputs without result, ...)
+    # column_errors, rel_frobenius, emit_outputs, ...)
     env = dict(os.environ)
     env["PYTHONPATH"] = str(ROOT / "src") + os.pathsep + env.get("PYTHONPATH", "")
     result = tmp_path / "result.json"
@@ -50,3 +50,37 @@ def test_benchmark_child_solves_wide_modes(tmp_path, trace):
     assert ("spans" in out) == bool(trace)
     if trace:
         assert out["spans"] > 0
+
+
+def _run_child(mode, workload, work, result, *extra):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = str(ROOT / "src") + os.pathsep + env.get("PYTHONPATH", "")
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "perfbench" / "solve.py"), mode,
+         "--workload", workload, "--seed", "1", *extra,
+         "--work", str(work), "--result", str(result)],
+        env=env, cwd=work, capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(Path(result).read_text(encoding="utf-8"))
+
+
+@pytest.fixture(scope="module")
+def tnsr3_inputs(tmp_path_factory):
+    # the solve child reads the prepared files' list from <work>/inputs.json
+    work = tmp_path_factory.mktemp("tnsr3_files")
+    return work, _run_child("prep", "tnsr3_files", work, work / "inputs.json")
+
+
+@pytest.mark.parametrize("trace", [0, 1])
+def test_benchmark_child_solves_tnsr3_files(tmp_path, tnsr3_inputs, trace):
+    # the only workload that runs ingest_tensor, FileSource, read_matrix_csv
+    # and the prep writers
+    work, inputs = tnsr3_inputs
+    out = _run_child("solve", "tnsr3_files", work, tmp_path / "result.json",
+                     "--trace", str(trace))
+    assert out["stop_reason"] == "source_exhausted"
+    assert out["iterations"] == 30
+    assert out["p"] == inputs["fibers"]
+    assert out["final_err_A_max"] < inputs["eps0"]
+    assert ("spans" in out) == bool(trace)
