@@ -69,7 +69,7 @@ def _finish(result: RunResult, cfg: SolverConfig, out) -> int:
     print(
         f"{state} t={last.t} p={last.p} err_A_max={last.err_A_max:.3e} "
         f"data_fit={last.data_fit:.3e} wall_ms={result.wall_ms:.1f} "
-        f"stop_reason={result.stop_reason} -> {out}"
+        f"stop_reason={result.stop_reason} idle={result.idle_iterations} -> {out}"
     )
     return 0 if result.converged else 2
 
@@ -79,14 +79,25 @@ def _cmd_synth_run(args) -> int:
     return _finish(run_online(cfg), cfg, args.out)
 
 
+def _load_tensor(path, steps):
+    """Ingest one TNSR3 file and apply the preprocessing steps in order."""
+    sample = ingest_tensor(path)
+    try:
+        for step in steps:
+            sample = step(sample)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from exc
+    return sample
+
+
 def _cmd_decompose(args) -> int:
-    tensors = [ingest_tensor(path) for path in args.tensor]
-    if args.log2_range:
-        tensors = [preprocess_dynamic_range(Z) for Z in tensors]
-    if args.scale_max:
-        tensors = [scale_by_max(Z) for Z in tensors]
-    if args.center_fibers:
-        tensors = [center_nonzero_fibers(Z) for Z in tensors]
+    chosen = (
+        (args.log2_range, preprocess_dynamic_range),
+        (args.scale_max, scale_by_max),
+        (args.center_fibers, center_nonzero_fibers),
+    )
+    steps = [step for on, step in chosen if on]
+    tensors = [_load_tensor(path, steps) for path in args.tensor]
     n, J, K = tensors[0].shape
     # file sources have no generative sparsity; alpha/beta are inert here
     defaults = {
@@ -100,9 +111,7 @@ def _cmd_untangle(args) -> int:
     S = read_matrix_csv(args.matrix)
     if S.shape[0] == 0:
         raise ValueError(f"{args.matrix}: matrix has no rows")
-    J = int(args.J)
-    K = int(args.K)
-    unf = untangle_krp(S, J, K)
+    unf = untangle_krp(S, args.J, args.K)
     os.makedirs(args.out, exist_ok=True)
     write_matrix_csv(os.path.join(args.out, "B.csv"), unf.B)
     write_matrix_csv(os.path.join(args.out, "C.csv"), unf.C)
@@ -160,8 +169,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = subs.add_parser("untangle", help="split a coding matrix into B and C")
     p.add_argument("matrix", help="matrix CSV with J*K columns")
-    p.add_argument("--J", required=True, help="first paired dimension")
-    p.add_argument("--K", required=True, help="second paired dimension")
+    p.add_argument("--J", type=int, required=True, help="first paired dimension")
+    p.add_argument("--K", type=int, required=True, help="second paired dimension")
     p.add_argument("--out", default="sparsecp_out", help="output directory")
     p.set_defaults(func=_cmd_untangle)
 

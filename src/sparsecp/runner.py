@@ -20,8 +20,8 @@ from __future__ import annotations
 import enum
 import math
 import time
-from dataclasses import dataclass, fields
-from typing import Callable, Iterable, Protocol
+from dataclasses import MISSING, dataclass, fields
+from typing import Callable, Iterable, Protocol, get_args, get_type_hints
 
 import numpy as np
 
@@ -114,9 +114,22 @@ def _parse_optional(parse: Callable[[str], object]) -> Callable[[str], object]:
     return run
 
 
+def _field_parser(name: str, hint) -> Callable[[str], object]:
+    """The text parser for a SolverConfig field of annotation hint."""
+    if hint in (int, float):
+        return hint
+    if hint == float | tuple[float, ...]:
+        return _parse_schedule
+    if isinstance(hint, enum.EnumMeta):
+        return _parse_choice(hint, name)
+    inner, _none = get_args(hint)  # X | None
+    return _parse_optional(inner)
+
+
 @dataclass(frozen=True)
 class SolverConfig:
-    """Full run configuration; field names double as config-file keys."""
+    """Full run configuration. The fields are the config-file keys and CLI
+    flags: each annotation picks the key's parser, no default makes it required."""
 
     n: int
     J: int
@@ -143,20 +156,14 @@ class SolverConfig:
     def __post_init__(self):
         if self.n < 2:  # a unit column in R^1 is +-1 and cannot move
             raise ValueError(f"n must be >= 2, got {self.n}")
-        for name in ("J", "K", "m"):
+        for name in ("J", "K", "m", "T_max", "log_every", "workers"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
         SparsityParams(self.alpha, self.beta)  # validates the probabilities
-        if self.T_max < 1:
-            raise ValueError(f"T_max must be >= 1, got {self.T_max}")
         if not 0.0 < self.eps_T < math.inf:
             raise ValueError(f"eps_T must be finite and > 0, got {self.eps_T}")
         if not 0.0 <= self.zero_tol < math.inf:
             raise ValueError(f"zero_tol must be finite and >= 0, got {self.zero_tol}")
-        if self.log_every < 1:
-            raise ValueError(f"log_every must be >= 1, got {self.log_every}")
-        if self.workers < 1:
-            raise ValueError(f"workers must be >= 1, got {self.workers}")
         if self.eta_A is not None and not 0.0 < self.eta_A < math.inf:
             raise ValueError(f"eta_A must be finite and > 0, got {self.eta_A}")
         if self.eps0 is not None and not 0.0 <= self.eps0 < 2.0:
@@ -193,29 +200,9 @@ class SolverConfig:
 
     @classmethod
     def _parsers(cls) -> dict[str, Callable[[str], object]]:
-        return {
-            "n": int,
-            "J": int,
-            "K": int,
-            "m": int,
-            "alpha": float,
-            "beta": float,
-            "dist": _parse_choice(Distribution, "dist"),
-            "C_lb": float,
-            "eta_x": _parse_schedule,
-            "tau": _parse_schedule,
-            "R": _parse_optional(int),
-            "eta_A": _parse_optional(float),
-            "T_max": int,
-            "eps_T": float,
-            "zero_tol": float,
-            "sample_mode": _parse_choice(SampleMode, "sample_mode"),
-            "seed": int,
-            "mode": _parse_choice(RunMode, "mode"),
-            "log_every": int,
-            "eps0": _parse_optional(float),
-            "workers": int,
-        }
+        """Each field's text parser, in field order, read off its annotation."""
+        hints = get_type_hints(cls)
+        return {f.name: _field_parser(f.name, hints[f.name]) for f in fields(cls)}
 
     @classmethod
     def from_mapping(cls, raw: dict[str, str]) -> "SolverConfig":
@@ -224,7 +211,7 @@ class SolverConfig:
         unknown = sorted(set(raw) - set(parsers))
         if unknown:
             raise ValueError(f"Unknown config keys: {', '.join(unknown)}")
-        required = ("n", "J", "K", "m", "alpha", "beta")
+        required = [f.name for f in fields(cls) if f.default is MISSING]
         missing = sorted(set(required) - set(raw))
         if missing:
             raise ValueError(f"Missing required config keys: {', '.join(missing)}")
@@ -275,7 +262,8 @@ class IterationRecord:
 
 @dataclass(frozen=True, eq=False)
 class RunResult:
-    """Run outcome; wall_ms is the whole run's time, logged iterations or not."""
+    """Run outcome; wall_ms is the whole run's time, logged iterations or not.
+    idle_iterations counts the iterations whose codes were all zero (or empty)."""
 
     records: tuple[IterationRecord, ...]
     A: np.ndarray
@@ -284,6 +272,7 @@ class RunResult:
     X: np.ndarray
     stop_reason: str
     iterations: int
+    idle_iterations: int
     wall_ms: float
 
     @property
@@ -391,7 +380,7 @@ def run_online(cfg: SolverConfig, source: TensorSource | None = None) -> RunResu
     C_last = np.zeros((K, m), order="F")
     X_last = np.zeros((m, 0), order="F")
     stop_reason = "max_iterations"
-    iterations = 0
+    iterations = idle = 0
     record = None
 
     for t in range(cfg.T_max):
@@ -433,6 +422,9 @@ def run_online(cfg: SolverConfig, source: TensorSource | None = None) -> RunResu
                 A_new = step_and_normalize(A, g, eta_A)
             else:
                 A_new = A  # no usable samples; skip the update, keep logging
+            # all-zero codes give a zero gradient: no movement, but nothing learned
+            learned = g is not None and bool(Xh[:, sel].any())
+            idle += not learned
 
             stage = "Metrics"
             fit = data_fit(Y, R) if p > 0 else 0.0
@@ -457,8 +449,6 @@ def run_online(cfg: SolverConfig, source: TensorSource | None = None) -> RunResu
                 movement = float(np.linalg.norm(A_new - A))
                 err_A_max = movement
                 err_A_relF = movement / float(np.linalg.norm(A))
-                # all-zero codes give a zero gradient: no movement, but nothing learned
-                learned = g is not None and bool(Xh[:, sel].any())
                 should_stop = learned and movement <= cfg.eps_T
         except (IhtDivergenceError, ValueError) as exc:
             raise RuntimeError(f"{stage} failed at iteration {t}: {exc}") from exc
@@ -498,5 +488,6 @@ def run_online(cfg: SolverConfig, source: TensorSource | None = None) -> RunResu
         X=X_last,
         stop_reason=stop_reason,
         iterations=iterations,
+        idle_iterations=idle,
         wall_ms=(time.perf_counter() - start) * 1000.0,
     )

@@ -128,21 +128,16 @@ def _read_lines(path) -> list[str]:
 def _raise_first_bad_line(path, held: str | None) -> NoReturn:
     """Walk the file line by line and raise the error of its first bad line.
 
-    held is the file's text when it was read into memory, else None.
+    held is the file's text when it was read into memory, else None and
+    the (regular) file is read again.
     """
     seen: set[int] = set()
-    text_io = open(path, encoding="utf-8") if held is None else io.StringIO(held, newline=None)
-    try:
-        with text_io as fh:
-            shape, head = _read_header(fh, path)
-            for lineno, rawline in enumerate(fh, start=head + 1):
-                text = _strip_comment(rawline)
-                if text:
-                    _check_entry(path, lineno, text, shape, seen)
-    except UnicodeDecodeError as exc:  # a regular file: read it again as bytes for the line
-        with open(path, "rb") as fh:
-            _decode(path, fh.read())
-        raise ValueError(f"{path}: {exc}") from exc
+    lines = iter(_read_lines(path) if held is None else io.StringIO(held, newline=None))
+    shape, head = _read_header(lines, path)
+    for lineno, rawline in enumerate(lines, start=head + 1):
+        text = _strip_comment(rawline)
+        if text:
+            _check_entry(path, lineno, text, shape, seen)
     raise RuntimeError(
         f"{path}: the bulk reader rejected the file, but no line breaks the TNSR3 rules"
     )
@@ -231,16 +226,17 @@ def preprocess_dynamic_range(sample: FiberSample) -> FiberSample:
     """Compress counts data: non-zeros map to log2(value) + 1, zeros stay.
 
     Requires every non-zero entry >= 1 so the transform keeps them
-    positive (entry 1 -> 1, entry 8 -> 4).
+    positive (entry 1 -> 1, entry 8 -> 4); the error names the first
+    entry that is not by its 1-based (i, j, k), as the TNSR3 file does.
     """
     Y = sample.Y
     mask = Y != 0.0
     bad = mask & (Y < 1.0)
     if bad.any():
         i, q = (int(v) for v in np.argwhere(bad)[0])
-        k, j = divmod(int(sample.cmap.kept[q]), sample.shape[1])
+        j, k = (int(v[q]) + 1 for v in sample.cmap.block_coords(sample.shape[1]))
         raise ValueError(
-            f"Non-zero entry {Y[i, q]} at {(i, j, k)} is < 1; dynamic-range compression "
+            f"Non-zero entry {Y[i, q]} at {(i + 1, j, k)} is < 1; dynamic-range compression "
             "needs counts-style data"
         )
     safe = np.where(mask, Y, 1.0)

@@ -55,13 +55,14 @@ def test_summary_follows_run_result(tmp_path, capsys, monkeypatch, stop_reason, 
     # the last logged err_A_max is 0, within any eps_T: only the run knows why it stopped
     Ms = (np.zeros((40, 6)), np.zeros((15, 6)), np.zeros((15, 6)))
     result = RunResult((_record(0, 0.5), _record(5, 0.0)), *Ms, X=np.zeros((6, 0)),
-                       stop_reason=stop_reason, iterations=7, wall_ms=1234.5)
+                       stop_reason=stop_reason, iterations=7, idle_iterations=3,
+                       wall_ms=1234.5)
     monkeypatch.setattr("sparsecp.cli.run_online", lambda cfg: result)
     out = tmp_path / "o"
     assert main(["synth-run", *FAST, "--out", str(out)]) == code
     assert capsys.readouterr().out == (
         f"{state} t=5 p=12 err_A_max=0.000e+00 data_fit=2.500e-01 wall_ms=1234.5 "
-        f"stop_reason={stop_reason} -> {out}\n"
+        f"stop_reason={stop_reason} idle=3 -> {out}\n"
     )
     assert (out / "metrics.csv").read_text().splitlines()[-1].startswith("5,12,3,0.0,")
 
@@ -207,7 +208,7 @@ def test_decompose_dims_from_tensor_header(tmp_path, capsys):
     # the lone spike is below every code threshold, so every code is zero:
     # the dictionary never moves, but no movement stop fires on zero codes
     assert code == 2
-    assert "stop_reason=source_exhausted" in capsys.readouterr().out
+    assert "stop_reason=source_exhausted idle=1 -> " in capsys.readouterr().out
     echoed = dict(
         kv.split("=", 1) for kv in (out / "config.txt").read_text().splitlines() if "=" in kv
     )
@@ -224,7 +225,7 @@ def test_decompose_all_zero_files_stop(tmp_path, capsys):
     assert code == 2
     msg = capsys.readouterr().out
     assert msg.startswith("stopped t=1 ")
-    assert "stop_reason=source_exhausted" in msg
+    assert "stop_reason=source_exhausted idle=2 -> " in msg
 
 
 def test_decompose_logs_last_iteration_when_files_run_out(tmp_path, capsys):
@@ -242,18 +243,41 @@ def test_decompose_logs_last_iteration_when_files_run_out(tmp_path, capsys):
     assert [line.split(",")[0] for line in lines[1:]] == ["0", "3"]
 
 
-def test_decompose_scale_max(tmp_path, capsys):
+@pytest.mark.parametrize(
+    "flag, peak", [("--scale-max", -8.0), ("--log2-range", 8.0), ("--center-fibers", -8.0)],
+    ids=["scale-max", "log2-range", "center-fibers"],
+)
+def test_decompose_scale_max(tmp_path, capsys, flag, peak):
+    # log2-range takes counts-style data, every non-zero >= 1
     Z = np.zeros((4, 2, 2))
-    Z[0, 0, 0] = -8.0
+    Z[0, 0, 0] = peak
     Z[1, 1, 1] = 2.0
     p = tmp_path / "z.tnsr"
     write_tnsr(p, Z)
     code = main(
-        ["decompose", str(p), "--m", "2", "--eta_A", "1.0", "--scale-max",
+        ["decompose", str(p), "--m", "2", "--eta_A", "1.0", flag,
          "--eps_T", "1e-300", "--out", str(tmp_path / "s")]
     )
     assert code == 2
-    capsys.readouterr()
+    assert capsys.readouterr().out.startswith("stopped t=0 ")
+
+
+@pytest.mark.parametrize(
+    "flag, body, message",
+    [("--log2-range", "1 1 1 2.0\n2 2 1 0.5\n",
+      "Non-zero entry 0.5 at (2, 2, 1) is < 1; dynamic-range compression needs "
+      "counts-style data"),
+     ("--scale-max", "", "Cannot max-scale an all-zero tensor")],
+    ids=["log2-range", "scale-max"],
+)
+def test_decompose_preprocessing_error_names_file(tmp_path, capsys, flag, body, message):
+    good, bad = tmp_path / "good.tnsr3", tmp_path / "bad.tnsr3"
+    good.write_text("TNSR3 2 2 2\n1 1 1 4.0\n", encoding="utf-8")
+    bad.write_text(f"TNSR3 2 2 2\n{body}", encoding="utf-8")
+    code = main(["decompose", str(good), str(bad), "--m", "2", flag, "--out", str(tmp_path / "d")])
+    assert code == 1
+    assert capsys.readouterr().err == f"error: {bad}: {message}\n"
+    assert not (tmp_path / "d").exists()
 
 
 def test_decompose_missing_file(tmp_path, capsys):
@@ -317,6 +341,10 @@ def test_usage_errors_exit_1_and_help_exits_0(tmp_path, capsys):
               "--svd_tol", "1e-12"])
     assert exc.value.code == 1
     assert "error: unrecognized arguments: --svd_tol 1e-12" in capsys.readouterr().err
+    with pytest.raises(SystemExit) as exc:
+        main(["untangle", str(tmp_path / "x.csv"), "--J", "abc", "--K", "2"])
+    assert exc.value.code == 1
+    assert "error: argument --J: invalid int value: 'abc'" in capsys.readouterr().err
     with pytest.raises(SystemExit) as exc:
         main(["synth-run", "--help"])
     assert exc.value.code == 0

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from sparsecp.dict_update import SampleMode
 from sparsecp.runner import (
     FileSource,
     IterationRecord,
@@ -401,7 +402,7 @@ def test_preprocess_dynamic_range():
     assert out.Y[1, 0] == 4.0  # log2(8) + 1
     assert out.Y[0, 1] == 2.0  # log2(2) + 1
     assert out.Y[1, 1] == 0.0
-    with pytest.raises(ValueError, match=r"\(0, 1, 0\)"):
+    with pytest.raises(ValueError, match=r"entry 0\.5 at \(1, 2, 1\) is < 1"):  # 1-based
         Z[0, 1, 0] = 0.5
         preprocess_dynamic_range(sample_of(Z))
 
@@ -662,6 +663,14 @@ def test_config_mapping_round_trip():
     assert back == cfg
     cfg = SolverConfig(n=40, J=12, K=11, m=8, alpha=0.1, beta=0.1)
     assert SolverConfig.from_mapping(cfg.to_mapping()) == cfg
+    cfg = SolverConfig(
+        n=40, J=12, K=11, m=8, alpha=0.1, beta=0.1, eta_x=(0.5, 0.25), tau=(0.2, 0.1, 0.05),
+        R=4, dist=Distribution.BOUNDED_SUBGAUSSIAN, sample_mode=SampleMode.INDEPENDENT_ONLY,
+        mode=RunMode.BATCH,
+    )
+    mapping = cfg.to_mapping()
+    assert (mapping["eta_x"], mapping["tau"], mapping["R"]) == ("0.5,0.25", "0.2,0.1,0.05", "4")
+    assert SolverConfig.from_mapping(mapping) == cfg
 
 
 # metrics / outputs -------------------------------------------------------

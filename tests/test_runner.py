@@ -91,6 +91,7 @@ def test_empty_iterations_are_skipped_not_fatal():
     assert len(res.records) == 40
     empties = [r for r in res.records if r.p == 0]
     assert empties
+    assert len(empties) <= res.idle_iterations < 40  # an empty sample teaches nothing
     for r in empties:
         assert r.p_indep == 0
         assert r.data_fit == 0.0
@@ -146,7 +147,8 @@ def test_convergence_stop():
 def test_converged_follows_stop_reason(stop_reason):
     # converged is derived, not stored, so it cannot disagree with stop_reason
     Z = np.zeros((2, 1))
-    res = RunResult((), Z, Z, Z, Z, stop_reason=stop_reason, iterations=1, wall_ms=0.0)
+    res = RunResult((), Z, Z, Z, Z, stop_reason=stop_reason, iterations=1,
+                    idle_iterations=0, wall_ms=0.0)
     assert res.converged == (stop_reason == "converged")
     assert "converged" not in {f.name for f in dataclasses.fields(RunResult)}
 
