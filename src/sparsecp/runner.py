@@ -98,13 +98,6 @@ def _parse_choice(enum_cls: type[enum.Enum], name: str) -> Callable[[str], enum.
     return run
 
 
-def _parse_schedule(text: str):
-    parts = [p for p in text.split(",") if p.strip()]
-    if len(parts) == 1:
-        return float(parts[0])
-    return tuple(float(p) for p in parts)
-
-
 def _parse_optional(parse: Callable[[str], object]) -> Callable[[str], object]:
     def run(text: str):
         if text.strip().lower() in ("auto", "preset", "default"):
@@ -118,8 +111,6 @@ def _field_parser(name: str, hint) -> Callable[[str], object]:
     """The text parser for a SolverConfig field of annotation hint."""
     if hint in (int, float):
         return hint
-    if hint == float | tuple[float, ...]:
-        return _parse_schedule
     if isinstance(hint, enum.EnumMeta):
         return _parse_choice(hint, name)
     inner, _none = get_args(hint)  # X | None
@@ -139,8 +130,8 @@ class SolverConfig:
     beta: float
     dist: Distribution = Distribution.RADEMACHER
     C_lb: float = 1.0
-    eta_x: float | tuple[float, ...] = 0.2
-    tau: float | tuple[float, ...] = 0.1
+    eta_x: float = 0.2
+    tau: float = 0.1
     R: int | None = None
     eta_A: float | None = None
     T_max: int = 500
@@ -232,8 +223,6 @@ class SolverConfig:
                 out[f.name] = "auto"
             elif isinstance(v, enum.Enum):
                 out[f.name] = v.value
-            elif isinstance(v, tuple):
-                out[f.name] = ",".join(repr(x) for x in v)
             elif isinstance(v, float):
                 out[f.name] = repr(v)
             else:

@@ -2,12 +2,14 @@
 
 IHT runs in Gram form over all columns at once: G = A^T A and A^T Y are
 formed once per call, so each step costs m^2 p flops instead of 2 n m p.
-A column whose start has one non-zero and whose support provably holds
-through all R steps is settled in closed form, x* + c^R (x0 - x*), in
-O(m) (the exactness test is in iht's docstring); every other column runs
-the steps, which stay the reference. A, Y and X0 are float64 arrays
-taken as given: only their shapes are checked, and a non-finite iterate
-raises IhtDivergenceError.
+On a fixed support the steps are linear, so a column whose support
+provably holds through all R steps is settled in closed form from its
+k x k block of G (the certificate is in iht's docstring). Columns are
+grouped by their number of non-zeros k, each group with one batched
+eigendecomposition of its blocks (k = 1 needs none). Every other column
+runs the steps, which stay the reference and the only source of
+IhtDivergenceError (a non-finite iterate). A, Y and X0 are float64
+arrays taken as given: only their shapes are checked.
 """
 
 from __future__ import annotations
@@ -46,15 +48,6 @@ class IhtDivergenceError(RuntimeError):
         )
 
 
-def _as_schedule(value, name: str) -> tuple[float, ...]:
-    if np.isscalar(value):
-        return (float(value),)
-    sched = tuple(float(v) for v in value)
-    if not sched:
-        raise ValueError(f"{name} schedule must be non-empty")
-    return sched
-
-
 def default_iht_steps(eta_x: float) -> int:
     """Return max(50, ceil(log(1/delta) / -log(1 - eta_x))) with delta = 1e-12."""
     if not 0.0 < eta_x < 1.0:
@@ -69,48 +62,26 @@ def default_iht_steps(eta_x: float) -> int:
 class IhtParams:
     """Step size eta_x in (0, 1], threshold tau > 0, R steps, magnitude bound C_lb.
 
-    eta_x and tau may be per-step schedules (tuples); a schedule shorter
-    than R repeats its last entry. When eta_x is a schedule, R must be
-    given explicitly because the default step-count rule is defined for a
-    single step size.
+    One eta_x and one tau serve every step; R = None takes
+    default_iht_steps(eta_x).
     """
 
-    eta_x: float | tuple[float, ...] = 0.2
-    tau: float | tuple[float, ...] = 0.1
+    eta_x: float = 0.2
+    tau: float = 0.1
     R: int | None = None
     C_lb: float = 1.0
 
     def __post_init__(self):
-        eta = _as_schedule(self.eta_x, "eta_x")
-        tau = _as_schedule(self.tau, "tau")
-        object.__setattr__(self, "eta_x", eta if len(eta) > 1 else eta[0])
-        object.__setattr__(self, "tau", tau if len(tau) > 1 else tau[0])
-        for v in eta:
-            if not 0.0 < v <= 1.0:
-                raise ValueError(f"eta_x entries must lie in (0, 1], got {v}")
-        for v in tau:
-            if not 0.0 < v < math.inf:
-                raise ValueError(f"tau entries must be finite and > 0, got {v}")
+        if not 0.0 < self.eta_x <= 1.0:
+            raise ValueError(f"eta_x must lie in (0, 1], got {self.eta_x}")
+        if not 0.0 < self.tau < math.inf:
+            raise ValueError(f"tau must be finite and > 0, got {self.tau}")
         if not 0.0 < self.C_lb <= 1.0:
             raise ValueError(f"C_lb must lie in (0, 1], got {self.C_lb}")
         if self.R is None:
-            if len(eta) > 1:
-                raise ValueError("R must be set explicitly when eta_x is a schedule")
-            object.__setattr__(self, "R", default_iht_steps(eta[0]))
+            object.__setattr__(self, "R", default_iht_steps(self.eta_x))
         elif self.R < 0:
             raise ValueError(f"R must be >= 0, got {self.R}")
-
-    def step_eta(self, r: int) -> float:
-        e = self.eta_x
-        if isinstance(e, tuple):
-            return e[min(r, len(e) - 1)]
-        return e
-
-    def step_tau(self, r: int) -> float:
-        t = self.tau
-        if isinstance(t, tuple):
-            return t[min(r, len(t) - 1)]
-        return t
 
 
 def hard_threshold(z, tau: float) -> np.ndarray:
@@ -140,17 +111,29 @@ def iht(A, Y, X0, params: IhtParams) -> np.ndarray:
     init_code start, reusing the A^T Y the steps need. R = 0 returns the
     start unchanged.
 
-    With scalar eta_x and tau, a column whose start has one non-zero row
-    r is settled in closed form when its support provably never changes:
-    with g = G_rr, c = 1 - eta_x*g and x* = (A^T Y)_rq / g, the steps
-    give x_t = x* + c^t (x0 - x*). The column gets x_R directly when
-    0 < c < 1 (so x_t moves monotonically from x0 towards x*), x0 and x_R
-    share a sign with magnitude >= tau*(1 + 1e-9), and every off-support
-    candidate |eta_x*(G_sr*x - (A^T Y)_sq)|, s != r, is below
-    tau*(1 - 1e-9) at x = x0 and x = x_{R-1}; it is affine in x, so
-    those two endpoints bound every step. The margins absorb the rounding
-    between the closed form and the steps. Every other column, and every
-    column when eta_x or tau is a schedule, runs the steps.
+    A column whose support provably holds through all R steps gets x_R in
+    closed form. Let the start x0 have support S (its k >= 1 non-zero
+    rows), b its column of A^T Y, H = G_SS = Q diag(lam) Q^T,
+    x* = H^-1 b_S, mu = 1 - eta_x*lam and c = Q^T (x0 - x*). While S
+    holds, the steps on S are linear and give x_t = x* + Q diag(mu^t) c.
+    With |mu_j| < 1, mu_j^t over t0 <= t <= t1 lies between mu_j^t0 and
+    mu_j^t1 if mu_j >= 0 (it is monotone), and between mu_j^t0 and
+    mu_j^(t0+1) if mu_j < 0 (its sign alternates as it shrinks); call
+    that interval mid_j +- h_j and let w = |Q| (h*|c|). Summing the k
+    terms, over those t each x_t,i lies within w_i of
+    (x* + Q (mid*c))_i, and each off-support candidate
+    eta_x*(b_s - G_sS x_t), s not in S, is at most
+    eta_x*(|b_s - G_sS (x* + Q (mid*c))| + |G_sS| w) in magnitude. The
+    column is settled when lam_min > 0, max|mu| < 1, every on-support
+    interval over 1 <= t <= R stays at least tau*(1 + 1e-9) from zero,
+    and every off-support bound over 0 <= t <= R-1 is below
+    tau*(1 - 1e-9): then by induction on t each step keeps exactly S and
+    x_R is the steps' result. The margins absorb the rounding between the
+    closed form and the steps, and a block with lam_min <= 1e-4*lam_max
+    counts as singular, since its closed form loses more digits than they
+    hold. For k = 1 and 0 < mu < 1 the bounds are exact: x_t runs from
+    x_1 to x_R on S, and the candidates are affine in x_t. Every other
+    column runs the steps.
     """
     n, m = A.shape
     if Y.shape[0] != n:
@@ -167,10 +150,14 @@ def iht(A, Y, X0, params: IhtParams) -> np.ndarray:
         return X
 
     G = A.T @ A
-    if isinstance(params.eta_x, tuple) or isinstance(params.tau, tuple):
-        loop = np.arange(p)
-    else:
-        loop = _settle_one_sparse(G, AtY, X, params.eta_x, params.tau, params.R)
+    nz = X != 0.0
+    nnz = nz.sum(axis=0)
+    settled = np.zeros(p, dtype=bool)
+    for k, size in enumerate(np.bincount(nnz)):
+        if k and size:
+            cols = np.flatnonzero(nnz == k)
+            settled[_settle(G, AtY, X, cols, nz[:, cols], k, params)] = True
+    loop = np.flatnonzero(~settled)
     if loop.size == p:
         return _iht_steps(G, AtY, X, params, loop)
     if loop.size:
@@ -178,38 +165,62 @@ def iht(A, Y, X0, params: IhtParams) -> np.ndarray:
     return X
 
 
-def _settle_one_sparse(G, AtY, X, eta: float, tau: float, R: int) -> np.ndarray:
-    """Write x_R into X for each 1-sparse column the closed form settles
-    (see iht); return the indices of the columns left for the steps."""
-    nz = X != 0.0
-    one = np.flatnonzero(np.count_nonzero(nz, axis=0) == 1)
-    r = np.argmax(nz[:, one], axis=0)
-    g = G[r, r]
-    c = 1.0 - eta * g
-    keep = (c > 0.0) & (c < 1.0)
-    one, r, g, c = one[keep], r[keep], g[keep], c[keep]
-    x0 = X[r, one]
-    xs = AtY[r, one] / g
-    x_prev = xs + c ** (R - 1) * (x0 - xs)
-    x_R = xs + c**R * (x0 - xs)
-    lo = tau * (1.0 + 1e-9)
-    keep = (np.sign(x0) == np.sign(x_R)) & (np.abs(x0) >= lo) & (np.abs(x_R) >= lo)
-    one, r, x0, x_prev, x_R = one[keep], r[keep], x0[keep], x_prev[keep], x_R[keep]
+def _mv(Q, v, transpose: bool = False):
+    """Q[q] @ v[..., q, :] for each q (Q[q]^T if transpose); Q = None is the identity."""
+    if Q is None:
+        return v
+    return (Q * v[..., :, None]).sum(-2) if transpose else (Q * v[..., None, :]).sum(-1)
 
-    # Off-support candidates at both endpoints; row r is zeroed out of both terms.
-    Gr = G[:, r]
-    AtYq = AtY[:, one]
-    cols = np.arange(one.size)
-    Gr[r, cols] = 0.0
-    AtYq[r, cols] = 0.0
-    worst = np.abs(Gr * x0 - AtYq)
-    np.maximum(worst, np.abs(Gr * x_prev - AtYq), out=worst)
-    keep = eta * worst.max(axis=0) < tau * (1.0 - 1e-9)
-    X[r[keep], one[keep]] = x_R[keep]
 
-    settled = np.zeros(X.shape[1], dtype=bool)
-    settled[one[keep]] = True
-    return np.flatnonzero(~settled)
+def _rows_dot(GS, v):
+    """sum_j GS[s, q, j] * v[q, j], an m x q array."""
+    return GS[:, :, 0] * v[:, 0] if GS.shape[2] == 1 else (GS * v).sum(-1)
+
+
+def _settle(G, AtY, X, cols, nz, k: int, params: IhtParams) -> np.ndarray:
+    """Write x_R into X for each column in cols, all with k non-zeros at
+    nz = (X[:, cols] != 0), that the certificate in iht settles; return
+    their indices."""
+    eta, tau, R = params.eta_x, params.tau, params.R
+    if k == 1:  # lam = G_rr and Q = 1: no eigendecomposition
+        rows = np.argmax(nz, axis=0)[:, None]
+        lam, Q = G[rows, rows], None
+    else:
+        rows = np.nonzero(nz.T)[1].reshape(cols.size, k)
+        lam, Q = np.linalg.eigh(G[rows[:, :, None], rows[:, None, :]])
+    mu = 1.0 - eta * lam
+    ok = np.abs(mu).max(axis=1) < 1.0
+    if Q is not None:  # an ill-conditioned block counts as singular
+        ok &= lam[:, 0] > 1e-4 * lam[:, -1]
+    if not ok.all():
+        cols, rows, lam, mu = cols[ok], rows[ok], lam[ok], mu[ok]
+        Q = None if Q is None else Q[ok]
+    xs = _mv(Q, _mv(Q, AtY[rows, cols[:, None]], transpose=True) / lam)
+    c = _mv(Q, X[rows, cols[:, None]] - xs, transpose=True)
+    # mu**t lies between start and end, for 1 <= t <= R (on S, index 0) and
+    # for 0 <= t <= R-1 (off S, index 1): from mu (or 1) to mu**R (or
+    # mu**(R-1)), or to mu**2 (or mu) where mu < 0 and mu**t alternates.
+    pw = mu ** np.array([[1, 0], [R, R - 1], [2, 1]])[:, :, None, None]
+    start, end = pw[0], np.where(mu < 0.0, pw[2], pw[1])
+    x_R = xs + _mv(Q, pw[1, 0] * c)
+    # Over those t, x_t lies within radius (w in iht) of centre, entrywise.
+    half_c = c / 2.0
+    centre = xs + _mv(Q, (start + end) * half_c)
+    radius = _mv(None if Q is None else np.abs(Q), np.abs((start - end) * half_c))
+    # On S each |x_t,i| stays at least tau*(1 + 1e-9).
+    keep = (np.abs(centre[0]) - radius[0]).min(axis=1) >= tau * (1.0 + 1e-9)
+    # Off S each candidate stays below tau*(1 - 1e-9). GS[s, q, j] is
+    # G_{s, S_j} for column q, and the rows of S are zeroed out.
+    GS = G[:, rows.ravel()].reshape(G.shape[0], *rows.shape)
+    off = AtY[:, cols]
+    off -= _rows_dot(GS, centre[1])
+    np.abs(off, out=off)
+    off += _rows_dot(np.abs(GS), radius[1])
+    off[rows, np.arange(cols.size)[:, None]] = 0.0
+    keep &= off.max(axis=0) < tau * (1.0 - 1e-9) / eta
+
+    X[rows[keep], cols[keep, None]] = x_R[keep]
+    return cols[keep]
 
 
 def _iht_steps(G, AtY, X, params: IhtParams, cols) -> np.ndarray:
@@ -217,8 +228,8 @@ def _iht_steps(G, AtY, X, params: IhtParams, cols) -> np.ndarray:
     the caller's sample, which a divergence error reports."""
     with np.errstate(over="ignore", invalid="ignore"):
         for r in range(params.R):
-            X = X - params.step_eta(r) * (G @ X - AtY)
-            np.putmask(X, np.abs(X) < params.step_tau(r), 0.0)
+            X = X - params.eta_x * (G @ X - AtY)
+            np.putmask(X, np.abs(X) < params.tau, 0.0)
             if not np.all(np.isfinite(X)):
                 bad = np.flatnonzero(~np.isfinite(X).all(axis=0))
                 raise IhtDivergenceError(r, int(cols[bad[0]]))

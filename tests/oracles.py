@@ -4,12 +4,14 @@ The independent references use plain numpy/scipy only, so the production
 kernels are checked against algorithms that share no code with them
 (one-sided Jacobi SVD vs LAPACK, the Hungarian assignment vs greedy
 matching, triple loops vs einsum, numpy's Generator methods per column vs
-the raw-word draw). The earlier loop and lexsort forms of match_columns
-and normalized_column_errors are kept as they were (on column_norms) to
-pin the whole-array ones to the same results. The checks at the end
-(spectral_norm, incoherence, closeness_check, descent_correlation) are
-used by tests only; unlike the references, they are built on the
-package's public functions.
+the raw-word draw, iht's plain step loop vs its closed form). The
+earlier loop and lexsort forms of match_columns and
+normalized_column_errors are kept as they were (on column_norms) to pin
+the whole-array ones to the same results, and the earlier 1-sparse
+closed-form rule to show that iht's certificate settles all its columns.
+The checks at the end (spectral_norm, incoherence, closeness_check,
+descent_correlation) are used by tests only; unlike the references, they
+are built on the package's public functions.
 """
 
 from __future__ import annotations
@@ -148,6 +150,46 @@ def residual_iht(A, y, x0, eta: float, tau: float, R: int) -> np.ndarray:
         x = x - eta * (A.T @ (A @ x - y))
         x[np.abs(x) < tau] = 0.0
     return x
+
+
+def stepped_iht(A, Y, X0, params) -> np.ndarray:
+    """iht with no closed form: every column runs the R Gram-form steps."""
+    G = A.T @ A
+    AtY = A.T @ Y
+    X = np.array(X0, dtype=np.float64, copy=True)
+    for _ in range(params.R):
+        X = X - params.eta_x * (G @ X - AtY)
+        X[np.abs(X) < params.tau] = 0.0
+    return X
+
+
+def one_sparse_rule(A, Y, X0, eta: float, tau: float, R: int) -> list[int]:
+    """The columns an earlier, 1-sparse-only closed form settled: one
+    non-zero row r with 0 < c = 1 - eta*G_rr < 1, x0 and x_R of one sign
+    and magnitude >= tau*(1 + 1e-9), and every off-support candidate below
+    tau*(1 - 1e-9) at x0 and at x_{R-1}."""
+    G = A.T @ A
+    AtY = A.T @ Y
+    settled = []
+    for q in range(X0.shape[1]):
+        (support,) = np.nonzero(X0[:, q])
+        if support.size != 1:
+            continue
+        r = support[0]
+        c = 1.0 - eta * G[r, r]
+        if not 0.0 < c < 1.0:
+            continue
+        x0 = X0[r, q]
+        xs = AtY[r, q] / G[r, r]
+        ends = [xs + c ** (R - 1) * (x0 - xs), xs + c**R * (x0 - xs)]
+        lo = tau * (1.0 + 1e-9)
+        if np.sign(x0) != np.sign(ends[1]) or min(abs(x0), abs(ends[1])) < lo:
+            continue
+        off = np.arange(G.shape[0]) != r
+        worst = max(np.max(np.abs(G[off, r] * x - AtY[off, q]), initial=0.0) for x in (x0, ends[0]))
+        if eta * worst < tau * (1.0 - 1e-9):
+            settled.append(q)
+    return settled
 
 
 def sparse_factor_per_column(dim, m, prob, dist, C_lb, rng_seed) -> np.ndarray:

@@ -98,6 +98,18 @@ def test_synth_run_bad_value_is_reported(tmp_path, capsys):
     assert "alpha" in err
 
 
+@pytest.mark.parametrize("key, value", [("tau", "0.1,0.05"), ("eta_x", "0.5,0.25")])
+def test_step_schedule_is_a_usage_error(tmp_path, capsys, key, value):
+    # eta_x and tau take one value for every IHT step, by flag or config file
+    cfgfile = tmp_path / "run.cfg"
+    cfgfile.write_text(f"n=40\nJ=15\nK=15\nm=6\nalpha=0.1\nbeta=0.1\n{key}={value}\n")
+    for args in ([*FAST, f"--{key}", value], ["--config", str(cfgfile)]):
+        assert main(["synth-run", *args, "--out", str(tmp_path / "x")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: Bad value for config key {key}: {value!r}")
+    assert not (tmp_path / "x").exists()
+
+
 FLOAT_KEYS = [f.name for f in fields(SolverConfig) if "float" in str(f.type)]
 BASE = {"n": "40", "J": "15", "K": "15", "m": "6", "alpha": "0.1", "beta": "0.1"}
 

@@ -664,12 +664,12 @@ def test_config_mapping_round_trip():
     cfg = SolverConfig(n=40, J=12, K=11, m=8, alpha=0.1, beta=0.1)
     assert SolverConfig.from_mapping(cfg.to_mapping()) == cfg
     cfg = SolverConfig(
-        n=40, J=12, K=11, m=8, alpha=0.1, beta=0.1, eta_x=(0.5, 0.25), tau=(0.2, 0.1, 0.05),
+        n=40, J=12, K=11, m=8, alpha=0.1, beta=0.1, eta_x=0.5, tau=0.05,
         R=4, dist=Distribution.BOUNDED_SUBGAUSSIAN, sample_mode=SampleMode.INDEPENDENT_ONLY,
         mode=RunMode.BATCH,
     )
     mapping = cfg.to_mapping()
-    assert (mapping["eta_x"], mapping["tau"], mapping["R"]) == ("0.5,0.25", "0.2,0.1,0.05", "4")
+    assert (mapping["eta_x"], mapping["tau"], mapping["R"]) == ("0.5", "0.05", "4")
     assert SolverConfig.from_mapping(mapping) == cfg
 
 

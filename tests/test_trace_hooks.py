@@ -65,6 +65,18 @@ def _run_child(mode, workload, work, result, *extra):
     return json.loads(Path(result).read_text(encoding="utf-8"))
 
 
+@pytest.mark.parametrize("trace", [0, 1])
+def test_benchmark_child_solves_dense_codes(tmp_path, trace):
+    # the workload where the coding stage dominates: its gates are a fixed
+    # 48 iterations that reach the tolerance marker
+    out = _run_child("solve", "dense_codes", tmp_path, tmp_path / "result.json",
+                     "--trace", str(trace))
+    assert out["stop_reason"] == "max_iterations"
+    assert out["iterations"] == 48
+    assert out["iters_to_tol"] is not None
+    assert ("spans" in out) == bool(trace)
+
+
 @pytest.fixture(scope="module")
 def tnsr3_inputs(tmp_path_factory):
     # the solve child reads the prepared files' list from <work>/inputs.json
