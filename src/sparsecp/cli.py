@@ -104,6 +104,10 @@ def _cmd_decompose(args) -> int:
         "n": str(n), "J": str(J), "K": str(K), "alpha": "0.5", "beta": "0.5",
     }
     cfg = _collect_config(args, defaults)
+    want = (cfg.n, cfg.J, cfg.K)
+    for path, sample in zip(args.tensor, tensors):
+        if tuple(sample.shape) != want:
+            raise ValueError(f"{path}: tensor has shape {sample.shape}, config says {want}")
     return _finish(run_online(cfg, FileSource(cfg, tensors)), cfg, args.out)
 
 

@@ -52,7 +52,6 @@ from .tensor_core import (
     FiberSample,
     cp_fibers,
     extract_nonzero_columns,
-    independent_column_indices,
     khatri_rao_columns,
 )
 from .untangle import untangle_codes
@@ -150,6 +149,8 @@ class SolverConfig:
         for name in ("J", "K", "m", "T_max", "log_every", "workers"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
+        if self.seed < 0:  # a SeedSequence entropy is non-negative
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         SparsityParams(self.alpha, self.beta)  # validates the probabilities
         if not 0.0 < self.eps_T < math.inf:
             raise ValueError(f"eps_T must be finite and > 0, got {self.eps_T}")
@@ -361,7 +362,6 @@ def run_online(cfg: SolverConfig, source: TensorSource | None = None) -> RunResu
     A = as_matrix(source.initial_dictionary(), rows=cfg.n, cols=cfg.m)
     ihtp = cfg.iht_params()
     eta_A = cfg.resolved_eta_A()
-    indep = independent_column_indices(cfg.J, cfg.K)
     m, J, K = cfg.m, cfg.J, cfg.K
 
     records: list[IterationRecord] = []
@@ -388,7 +388,8 @@ def run_online(cfg: SolverConfig, source: TensorSource | None = None) -> RunResu
         else:
             cmap = ColumnIndexMap(J * K, sample.cmap.kept[live.kept])
         p = cmap.p
-        indep_pos = np.flatnonzero(np.isin(cmap.kept, indep, assume_unique=True))
+        j, k = cmap.block_coords(J)
+        indep_pos = np.flatnonzero(j == k)  # independent_column_indices(J, K) in cmap
         p_indep = int(indep_pos.size)
 
         stage = "Sparse coding"

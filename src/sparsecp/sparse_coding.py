@@ -93,14 +93,8 @@ def hard_threshold(z, tau: float) -> np.ndarray:
 
 
 def init_code(A, Y, C_lb: float = 1.0) -> np.ndarray:
-    """Return the initial code T_{C/2}(A^T Y)."""
-    if A.shape[0] != Y.shape[0]:
-        raise ValueError(
-            f"Row mismatch: A is {A.shape[0]}x{A.shape[1]}, Y is {Y.shape[0]}x{Y.shape[1]}"
-        )
-    if C_lb <= 0.0:
-        raise ValueError(f"C_lb must be > 0, got {C_lb}")
-    return np.asfortranarray(hard_threshold(A.T @ Y, C_lb / 2.0))
+    """Return the initial code T_{C_lb/2}(A^T Y): iht's start, with R = 0."""
+    return iht(A, Y, None, IhtParams(R=0, C_lb=C_lb))
 
 
 def iht(A, Y, X0, params: IhtParams) -> np.ndarray:
@@ -108,8 +102,8 @@ def iht(A, Y, X0, params: IhtParams) -> np.ndarray:
 
     X^(r+1) = T_tau(X^(r) - eta_x * (G X^(r) - A^T Y)) with G = A^T A,
     columns independent. X0 = None starts from T_{C_lb/2}(A^T Y), the
-    init_code start, reusing the A^T Y the steps need. R = 0 returns the
-    start unchanged.
+    init_code start, thresholded in place in a Fortran copy of the A^T Y
+    the steps need. R = 0 returns the start unchanged.
 
     A column whose support provably holds through all R steps gets x_R in
     closed form. Let the start x0 have support S (its k >= 1 non-zero
@@ -141,7 +135,8 @@ def iht(A, Y, X0, params: IhtParams) -> np.ndarray:
     p = Y.shape[1]
     AtY = A.T @ Y
     if X0 is None:
-        X = np.asfortranarray(hard_threshold(AtY, params.C_lb / 2.0))
+        X = AtY.copy(order="F")
+        X[np.abs(X) < params.C_lb / 2.0] = 0.0
     else:
         if X0.shape != (m, p):
             raise ValueError(f"X0 must be {m}x{p}, got {X0.shape[0]}x{X0.shape[1]}")
@@ -158,8 +153,6 @@ def iht(A, Y, X0, params: IhtParams) -> np.ndarray:
             cols = np.flatnonzero(nnz == k)
             settled[_settle(G, AtY, X, cols, nz[:, cols], k, params)] = True
     loop = np.flatnonzero(~settled)
-    if loop.size == p:
-        return _iht_steps(G, AtY, X, params, loop)
     if loop.size:
         X[:, loop] = _iht_steps(G, AtY[:, loop], np.asfortranarray(X[:, loop]), params, loop)
     return X
@@ -233,4 +226,4 @@ def _iht_steps(G, AtY, X, params: IhtParams, cols) -> np.ndarray:
             if not np.all(np.isfinite(X)):
                 bad = np.flatnonzero(~np.isfinite(X).all(axis=0))
                 raise IhtDivergenceError(r, int(cols[bad[0]]))
-    return np.asfortranarray(X)
+    return X

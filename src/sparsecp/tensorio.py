@@ -19,8 +19,8 @@ import math
 import os
 import stat
 import warnings
-from dataclasses import replace
-from typing import NoReturn, Sequence
+from dataclasses import fields, replace
+from typing import NoReturn, Sequence, get_type_hints
 
 import numpy as np
 
@@ -41,10 +41,13 @@ __all__ = [
     "METRICS_HEADER",
 ]
 
-METRICS_HEADER = (
-    "t,p,p_indep,err_A_max,err_A_relF,err_X_relF,signed_support_ok,"
-    "data_fit,err_B_max,err_C_max,min_descent_corr,wall_ms"
-)
+# metrics.csv has one column per IterationRecord field, in field order, each
+# cell written by the field's type; the measured wall_ms is written as 0.
+_CELL = {bool: lambda v: "true" if v else "false", int: str, float: lambda v: repr(float(v))}
+_HINTS = get_type_hints(IterationRecord)
+_COLUMNS = {f.name: _CELL[_HINTS[f.name]] for f in fields(IterationRecord)}
+_COLUMNS["wall_ms"] = lambda v: "0"
+METRICS_HEADER = ",".join(_COLUMNS)
 
 
 def _strip_comment(line: str) -> str:
@@ -345,13 +348,7 @@ def write_config_echo(cfg: SolverConfig, path) -> None:
 
 
 def _metrics_row(r: IterationRecord) -> str:
-    num = lambda v: repr(float(v))
-    flag = "true" if r.signed_support_ok else "false"
-    return (
-        f"{r.t},{r.p},{r.p_indep},{num(r.err_A_max)},{num(r.err_A_relF)},"
-        f"{num(r.err_X_relF)},{flag},{num(r.data_fit)},{num(r.err_B_max)},"
-        f"{num(r.err_C_max)},{num(r.min_descent_corr)},0"
-    )
+    return ",".join(cell(getattr(r, name)) for name, cell in _COLUMNS.items())
 
 
 def write_metrics_csv(path, records: Sequence[IterationRecord]) -> None:

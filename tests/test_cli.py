@@ -98,6 +98,13 @@ def test_synth_run_bad_value_is_reported(tmp_path, capsys):
     assert "alpha" in err
 
 
+def test_negative_seed_is_rejected_by_name(tmp_path, capsys):
+    code = main(["synth-run", *FAST, "--seed", "-1", "--out", str(tmp_path / "x")])
+    assert code == 1
+    assert capsys.readouterr().err == "error: seed must be >= 0, got -1\n"
+    assert not (tmp_path / "x").exists()
+
+
 @pytest.mark.parametrize("key, value", [("tau", "0.1,0.05"), ("eta_x", "0.5,0.25")])
 def test_step_schedule_is_a_usage_error(tmp_path, capsys, key, value):
     # eta_x and tau take one value for every IHT step, by flag or config file
@@ -289,6 +296,18 @@ def test_decompose_preprocessing_error_names_file(tmp_path, capsys, flag, body, 
     code = main(["decompose", str(good), str(bad), "--m", "2", flag, "--out", str(tmp_path / "d")])
     assert code == 1
     assert capsys.readouterr().err == f"error: {bad}: {message}\n"
+    assert not (tmp_path / "d").exists()
+
+
+def test_decompose_shape_mismatch_names_file(tmp_path, capsys):
+    a, b = tmp_path / "a.tnsr", tmp_path / "b.tnsr"
+    write_tnsr(a, np.ones((3, 2, 2)))
+    write_tnsr(b, np.ones((3, 2, 3)))
+    code = main(["decompose", str(a), str(b), "--m", "2", "--eta_A", "1", "--out", str(tmp_path / "d")])
+    assert code == 1
+    assert capsys.readouterr().err == (
+        f"error: {b}: tensor has shape (3, 2, 3), config says (3, 2, 2)\n"
+    )
     assert not (tmp_path / "d").exists()
 
 

@@ -700,9 +700,12 @@ def test_write_metrics_csv(tmp_path):
     recs = [record(0), record(1, signed_support_ok=False, err_A_max=0.1)]
     write_metrics_csv(p, recs)
     lines = p.read_text(encoding="utf-8").splitlines()
-    assert lines[0] == METRICS_HEADER
+    assert lines[0] == METRICS_HEADER == (
+        "t,p,p_indep,err_A_max,err_A_relF,err_X_relF,signed_support_ok,"
+        "data_fit,err_B_max,err_C_max,min_descent_corr,wall_ms"
+    )
     assert len(lines) == 3
-    assert lines[1].startswith("0,900,30,0.5,0.25,0.1,true,0.01,")
+    assert lines[1] == "0,900,30,0.5,0.25,0.1,true,0.01,0.2,0.3,0.0001,0"
     assert ",false," in lines[2]
     # wall time is masked so byte comparison across runs means something
     assert lines[1].endswith(",0")

@@ -545,3 +545,6 @@ def test_config_validation():
         cfg_small(workers=0)
     with pytest.raises(ValueError, match="log_every"):
         cfg_small(log_every=0)
+    with pytest.raises(ValueError, match="^seed must be >= 0, got -1$"):
+        cfg_small(seed=-1)
+    assert cfg_small(seed=0).seed == 0

@@ -39,6 +39,9 @@ def test_hard_threshold_annihilates_above_max():
 def test_init_code_hand():
     out = init_code(np.eye(2), np.array([[1.0], [0.2]]), C_lb=1.0)
     assert np.array_equal(out, [[1.0], [0.0]])
+    # |x| == C_lb/2 is kept, as hard_threshold keeps |z| == tau
+    out = init_code(np.eye(3), np.array([[0.5], [-0.5], [0.4999]]), C_lb=1.0)
+    assert np.array_equal(out, [[0.5], [-0.5], [0.0]])
 
 
 def test_init_code_zero_input():
@@ -59,6 +62,12 @@ def test_init_code_recovers_signs_for_orthonormal_dictionary():
 def test_init_code_shape_error():
     with pytest.raises(ValueError):
         init_code(np.ones((3, 2)), np.ones((4, 1)), C_lb=1.0)
+
+
+@pytest.mark.parametrize("C_lb", [0.0, 1.5])
+def test_init_code_c_lb_range(C_lb):
+    with pytest.raises(ValueError, match=r"C_lb must lie in \(0, 1\]"):
+        init_code(np.eye(2), np.ones((2, 1)), C_lb=C_lb)
 
 
 # iht ---------------------------------------------------------------------
@@ -173,7 +182,8 @@ def test_iht_none_start_is_init_code():
     Y = A @ np.where(rng.random((10, 25)) < 0.2, 1.0, 0.0)
     for C_lb in (1.0, 0.4):
         out = iht(A, Y, None, IhtParams(R=0, C_lb=C_lb))
-        assert np.array_equal(out, init_code(A, Y, C_lb))
+        # init_code is this call, so the start is checked against the threshold itself
+        assert np.array_equal(out, hard_threshold(A.T @ Y, C_lb / 2.0))
         assert out.flags.f_contiguous
 
 
