@@ -1,11 +1,14 @@
 """Online decomposition driver: config, per-iteration pipeline, stop rules.
 
 Each sample is a FiberSample; each iteration drops its fibers at or
-below zero_tol, runs sparse coding -> untangle -> gradient -> dictionary
-step on the p fibers left (no n x J x K or m x JK array is built), then
-logs an IterationRecord every log_every iterations, and the last one
-always. Batch mode takes source.instance(0) once and reuses it, so a
-source only maps t to a sample. An error in a stage is raised once, as
+below zero_tol, runs sparse coding -> gradient -> dictionary step on the
+p fibers left (no n x J x K or m x JK array is built), then logs an
+IterationRecord every log_every iterations, and the last one always.
+The codes are untangled into (B, C) on each iteration with ground truth,
+whose B/C errors read them; a run without it untangles only its last
+iteration's codes, once, after the loop, for RunResult. Batch mode takes
+source.instance(0) once and reuses it, so a source only maps t to a
+sample. An error in a stage is raised once, as
 RuntimeError("<Stage> failed at iteration t: ...") with the original
 error as its cause.
 With ground truth (synthetic sources) the record carries aligned errors
@@ -365,9 +368,8 @@ def run_online(cfg: SolverConfig, source: TensorSource | None = None) -> RunResu
     m, J, K = cfg.m, cfg.J, cfg.K
 
     records: list[IterationRecord] = []
-    B_last = np.zeros((J, m), order="F")
-    C_last = np.zeros((K, m), order="F")
     X_last = np.zeros((m, 0), order="F")
+    cmap_last = unf_last = None
     stop_reason = "max_iterations"
     iterations = idle = 0
     record = None
@@ -395,8 +397,10 @@ def run_online(cfg: SolverConfig, source: TensorSource | None = None) -> RunResu
         stage = "Sparse coding"
         try:
             Xh = iht(A, Y, None, ihtp)
-            stage = "Untangle"
-            unf = untangle_codes(Xh, cmap, J, K)
+            unf = None
+            if gt is not None:  # only the B/C errors read this sample's split
+                stage = "Untangle"
+                unf = untangle_codes(Xh, cmap, J, K)
 
             stage = "Dictionary update"
             # one residual of the pre-step dictionary feeds gradient and data_fit
@@ -462,13 +466,22 @@ def run_online(cfg: SolverConfig, source: TensorSource | None = None) -> RunResu
             records.append(record)
 
         A = A_new
-        B_last, C_last, X_last = unf.B, unf.C, Xh
+        X_last, cmap_last, unf_last = Xh, cmap, unf
         if should_stop:
             stop_reason = "converged"
             break
 
     if record is not None and records[-1] is not record:
         records.append(record)  # the last iteration is logged whatever log_every says
+
+    B_last, C_last = np.zeros((J, m), order="F"), np.zeros((K, m), order="F")
+    if record is not None:
+        if unf_last is None:  # no ground truth: split only the codes returned
+            try:
+                unf_last = untangle_codes(X_last, cmap_last, J, K)
+            except ValueError as exc:
+                raise RuntimeError(f"Untangle failed at iteration {record.t}: {exc}") from exc
+        B_last, C_last = unf_last.B, unf_last.C
 
     return RunResult(
         records=tuple(records),

@@ -222,7 +222,7 @@ def _iht_steps(G, AtY, X, params: IhtParams, cols) -> np.ndarray:
     with np.errstate(over="ignore", invalid="ignore"):
         for r in range(params.R):
             X = X - params.eta_x * (G @ X - AtY)
-            np.putmask(X, np.abs(X) < params.tau, 0.0)
+            X[np.abs(X) < params.tau] = 0.0
             if not np.all(np.isfinite(X)):
                 bad = np.flatnonzero(~np.isfinite(X).all(axis=0))
                 raise IhtDivergenceError(r, int(cols[bad[0]]))

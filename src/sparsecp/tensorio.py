@@ -273,8 +273,8 @@ def write_matrix_csv(path, M) -> None:
     rows, cols = M.shape
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(f"{rows},{cols}\n")
-        for r in range(rows):
-            fh.write(",".join(repr(float(v)) for v in M[r, :]))
+        for row in M:  # row by row: M.tolist() would hold every value as a float object
+            fh.write(",".join(map(repr, row.tolist())))
             fh.write("\n")
 
 

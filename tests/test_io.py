@@ -430,16 +430,20 @@ def test_center_nonzero_fibers():
 
 
 def test_matrix_csv_round_trip_is_bit_exact(tmp_path):
-    M = np.array([[0.1, 1.0 / 3.0], [1e-300, -0.0], [2.0**-53, 1e308]])
+    M = np.array([[0.1, 1.0 / 3.0], [1e-300, -0.0], [2.0**-53, 1e308], [5e-324, 1e16],
+                  [1e-05, -2.5]])
+    # each value is written as the repr of its Python float
+    text = (b"5,2\n0.1,0.3333333333333333\n1e-300,-0.0\n1.1102230246251565e-16,1e+308\n"
+            b"5e-324,1e+16\n1e-05,-2.5\n")
     p = tmp_path / "m.csv"
     write_matrix_csv(p, M)
+    assert p.read_bytes() == text
     back = read_matrix_csv(p)
     assert back.shape == M.shape
     assert np.array_equal(back, M)
     assert np.signbit(back[1, 1])
-    first = p.read_text(encoding="utf-8")
     write_matrix_csv(p, back)
-    assert p.read_text(encoding="utf-8") == first
+    assert p.read_bytes() == text
 
 
 def test_matrix_csv_header(tmp_path):

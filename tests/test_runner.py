@@ -311,6 +311,13 @@ def planted_tensors(cfg, count, seed=11, A=None):
     ]
 
 
+def near_start_tensors(cfg, count):
+    """Files planted near the dictionary a file source starts from, so
+    their codes are non-zero."""
+    start = FileSource(cfg, [sample_of(np.zeros((cfg.n, cfg.J, cfg.K)))]).initial_dictionary()
+    return planted_tensors(cfg, count, A=perturb_init(start, 0.1, 11))
+
+
 def test_file_source_exhaustion():
     cfg = cfg_small(T_max=10)
     res = run_online(cfg, source=FileSource(cfg, planted_tensors(cfg, 4)))
@@ -345,11 +352,8 @@ def test_file_mode_reports_movement():
 
 def test_file_batch_converges_on_movement():
     cfg = cfg_small(T_max=400, eps_T=1e-10, eta_A=4.0, mode=RunMode.BATCH)
-    # plant the file near the dictionary the file source starts from, so
-    # the codes are non-zero and the movement stop has to be earned
-    start = FileSource(cfg, [sample_of(np.zeros((cfg.n, cfg.J, cfg.K)))]).initial_dictionary()
-    tensors = planted_tensors(cfg, 1, A=perturb_init(start, 0.1, 11))
-    res = run_online(cfg, source=FileSource(cfg, tensors))
+    # codes are non-zero, so the movement stop has to be earned
+    res = run_online(cfg, source=FileSource(cfg, near_start_tensors(cfg, 1)))
     assert res.converged
     assert res.stop_reason == "converged"
     assert res.iterations > 1
@@ -475,27 +479,69 @@ def test_untangle_failure_names_iteration(monkeypatch):
 def test_loop_takes_sample_uncopied_when_nothing_is_dropped(monkeypatch):
     cfg = cfg_small(T_max=2)
     samples = planted_tensors(cfg, 2)
-    seen = []
-    untangle_codes = runner.untangle_codes
+    coded, split = [], []
+    iht, untangle_codes = runner.iht, runner.untangle_codes
 
-    def spy(X, cmap, J, K):
-        seen.append(cmap)
+    def iht_spy(A, Y, X0, params):
+        coded.append(Y)
+        return iht(A, Y, X0, params)
+
+    def untangle_spy(X, cmap, J, K):
+        split.append(cmap)
         return untangle_codes(X, cmap, J, K)
 
-    monkeypatch.setattr(runner, "untangle_codes", spy)
+    monkeypatch.setattr(runner, "iht", iht_spy)
+    monkeypatch.setattr(runner, "untangle_codes", untangle_spy)
     run_online(cfg, FileSource(cfg, samples))
-    assert [c is s.cmap for c, s in zip(seen, samples)] == [True, True]
+    assert [Y is s.Y for Y, s in zip(coded, samples)] == [True, True]
+    assert len(split) == 1 and split[0] is samples[-1].cmap
 
     # a zero_tol that drops fibers gives a map of the kept ones
     Y = samples[0].Y
     peak = np.abs(Y).max(axis=0)
     tol = float(np.median(peak))
     cfg = cfg_small(T_max=1, zero_tol=tol)
-    seen.clear()
+    coded.clear()
+    split.clear()
     res = run_online(cfg, FileSource(cfg, samples[:1]))
-    assert seen[0] is not samples[0].cmap
-    assert np.array_equal(seen[0].kept, samples[0].cmap.kept[peak > tol])
+    assert len(coded) == 1 and np.array_equal(coded[0], Y[:, peak > tol])
+    assert len(split) == 1 and split[0] is not samples[0].cmap
+    assert np.array_equal(split[0].kept, samples[0].cmap.kept[peak > tol])
     assert res.records[0].p == int((peak > tol).sum())
+
+
+def test_file_run_untangles_only_its_last_codes(monkeypatch):
+    cfg = cfg_small(T_max=10)
+    samples = near_start_tensors(cfg, 4)
+    calls = []
+    untangle_codes = runner.untangle_codes
+
+    def spy(X, cmap, J, K):
+        calls.append((X, cmap))
+        return untangle_codes(X, cmap, J, K)
+
+    monkeypatch.setattr(runner, "untangle_codes", spy)
+    res = run_online(cfg, FileSource(cfg, samples))
+    assert res.stop_reason == "source_exhausted" and res.idle_iterations == 0
+    assert len(calls) == 1
+    X, cmap = calls[0]
+    assert X is res.X and cmap is samples[-1].cmap
+    want = untangle_codes(res.X, samples[-1].cmap, cfg.J, cfg.K)
+    assert res.B.any() and res.C.any()
+    assert np.array_equal(res.B, want.B) and np.array_equal(res.C, want.C)
+
+
+def test_file_run_untangle_failure_names_last_iteration(monkeypatch):
+    cfg = cfg_small(T_max=10)
+    samples = near_start_tensors(cfg, 3)
+
+    def failing(M):
+        raise np.linalg.LinAlgError("SVD did not converge")
+
+    monkeypatch.setattr(untangle, "_principal_triple", failing)
+    with pytest.raises(RuntimeError, match="Untangle failed at iteration 2: SVD did not") as err:
+        run_online(cfg, FileSource(cfg, samples))
+    assert isinstance(err.value.__cause__, np.linalg.LinAlgError)
 
 
 # config resolution -------------------------------------------------------
