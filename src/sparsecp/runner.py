@@ -6,9 +6,10 @@ p fibers left (no n x J x K or m x JK array is built), then logs an
 IterationRecord every log_every iterations, and the last one always.
 The codes are untangled into (B, C) on each iteration with ground truth,
 whose B/C errors read them; a run without it untangles only its last
-iteration's codes, once, after the loop, for RunResult. Batch mode takes
-source.instance(0) once and reuses it, so a source only maps t to a
-sample. An error in a stage is raised once, as
+iteration's codes, once, after the loop, for RunResult. A sample is
+checked once, as source.instance(t) gives it: a FiberSample of shape
+(n, J, K), with one at t = 0. Batch mode reuses instance(0), so a
+source only maps t to a sample. An error in a stage is raised once, as
 RuntimeError("<Stage> failed at iteration t: ...") with the original
 error as its cause.
 With ground truth (synthetic sources) the record carries aligned errors
@@ -228,7 +229,7 @@ class SolverConfig:
             elif isinstance(v, enum.Enum):
                 out[f.name] = v.value
             elif isinstance(v, float):
-                out[f.name] = repr(v)
+                out[f.name] = repr(float(v))  # np.float64's repr is not a float literal
             else:
                 out[f.name] = str(v)
         return out
@@ -275,8 +276,8 @@ class RunResult:
 
 class TensorSource(Protocol):
     """instance(t) gives iteration t's sample and its ground truth (None
-    without one), or None once the input is exhausted. In batch mode
-    run_online calls instance(0) only."""
+    without one), or None once the input is exhausted (an error at t = 0). In batch
+    mode run_online calls instance(0) only; it checks each sample it takes."""
 
     def initial_dictionary(self) -> np.ndarray: ...
 
@@ -309,7 +310,7 @@ class SyntheticSource:
 
 
 class FileSource:
-    """Feeds pre-loaded FiberSamples in order; exhaustion ends the run.
+    """Feeds pre-loaded FiberSamples in order, unchecked; exhaustion ends the run.
 
     The initial dictionary is random unit columns under the run seed.
     """
@@ -317,25 +318,13 @@ class FileSource:
     def __init__(self, cfg: SolverConfig, tensors: Iterable[FiberSample]):
         self._cfg = cfg
         self._tensors = list(tensors)
-        if not self._tensors:
-            raise ValueError("FileSource needs at least one tensor")
-        want = (cfg.n, cfg.J, cfg.K)
-        for idx, sample in enumerate(self._tensors):
-            if not isinstance(sample, FiberSample):
-                raise TypeError(f"Tensor {idx} is a {type(sample).__name__}, not a FiberSample")
-            if tuple(sample.shape) != want:
-                raise ValueError(
-                    f"Tensor {idx} has shape {sample.shape}, config says {want}"
-                )
 
     def initial_dictionary(self) -> np.ndarray:
         root = np.random.SeedSequence(self._cfg.seed)
         return gen_dictionary(self._cfg.n, self._cfg.m, child_seed(root, 0))
 
     def instance(self, t: int):
-        if t >= len(self._tensors):
-            return None
-        return self._tensors[t], None
+        return (self._tensors[t], None) if t < len(self._tensors) else None
 
 
 def _min_descent_correlation(g, A_prev, A_star, align, used, eps_T) -> float:
@@ -365,24 +354,30 @@ def run_online(cfg: SolverConfig, source: TensorSource | None = None) -> RunResu
     A = as_matrix(source.initial_dictionary(), rows=cfg.n, cols=cfg.m)
     ihtp = cfg.iht_params()
     eta_A = cfg.resolved_eta_A()
-    m, J, K = cfg.m, cfg.J, cfg.K
+    J, K = cfg.J, cfg.K
+    want = (cfg.n, J, K)
 
     records: list[IterationRecord] = []
-    X_last = np.zeros((m, 0), order="F")
-    cmap_last = unf_last = None
     stop_reason = "max_iterations"
-    iterations = idle = 0
-    record = None
+    idle = 0
 
     for t in range(cfg.T_max):
         tick = time.perf_counter()
         if t == 0 or cfg.mode is RunMode.ONLINE:
             inst = source.instance(t)  # batch mode keeps the first one
-        if inst is None:
-            stop_reason = "source_exhausted"
-            break
-        sample, gt = inst
-        iterations = t + 1
+            if inst is None:
+                if t == 0:
+                    raise ValueError("The source gave no sample at iteration 0")
+                stop_reason = "source_exhausted"
+                break
+            sample, gt = inst
+            if not isinstance(sample, FiberSample):
+                kind = type(sample).__name__
+                raise TypeError(f"Sample at iteration {t} is a {kind}, not a FiberSample")
+            if tuple(sample.shape) != want:
+                raise ValueError(
+                    f"Sample at iteration {t} has shape {sample.shape}, config says {want}"
+                )
 
         Y, live = extract_nonzero_columns(sample.Y, cfg.zero_tol)
         if live.p == sample.cmap.p:
@@ -447,7 +442,6 @@ def run_online(cfg: SolverConfig, source: TensorSource | None = None) -> RunResu
         except (IhtDivergenceError, ValueError) as exc:
             raise RuntimeError(f"{stage} failed at iteration {t}: {exc}") from exc
 
-        wall_ms = (time.perf_counter() - tick) * 1000.0
         record = IterationRecord(
             t=t,
             p=p,
@@ -460,37 +454,33 @@ def run_online(cfg: SolverConfig, source: TensorSource | None = None) -> RunResu
             err_B_max=err_B_max,
             err_C_max=err_C_max,
             min_descent_corr=min_corr,
-            wall_ms=wall_ms,
+            wall_ms=(time.perf_counter() - tick) * 1000.0,
         )
         if t % cfg.log_every == 0:
             records.append(record)
 
         A = A_new
-        X_last, cmap_last, unf_last = Xh, cmap, unf
         if should_stop:
             stop_reason = "converged"
             break
 
-    if record is not None and records[-1] is not record:
+    # Xh, cmap, unf and record are the last finished iteration's (a source runs dry at t > 0)
+    if records[-1] is not record:
         records.append(record)  # the last iteration is logged whatever log_every says
-
-    B_last, C_last = np.zeros((J, m), order="F"), np.zeros((K, m), order="F")
-    if record is not None:
-        if unf_last is None:  # no ground truth: split only the codes returned
-            try:
-                unf_last = untangle_codes(X_last, cmap_last, J, K)
-            except ValueError as exc:
-                raise RuntimeError(f"Untangle failed at iteration {record.t}: {exc}") from exc
-        B_last, C_last = unf_last.B, unf_last.C
+    if unf is None:  # no ground truth: split only the codes returned
+        try:
+            unf = untangle_codes(Xh, cmap, J, K)
+        except ValueError as exc:
+            raise RuntimeError(f"Untangle failed at iteration {record.t}: {exc}") from exc
 
     return RunResult(
         records=tuple(records),
         A=A,
-        B=B_last,
-        C=C_last,
-        X=X_last,
+        B=unf.B,
+        C=unf.C,
+        X=Xh,
         stop_reason=stop_reason,
-        iterations=iterations,
+        iterations=record.t + 1,
         idle_iterations=idle,
         wall_ms=(time.perf_counter() - start) * 1000.0,
     )

@@ -14,7 +14,6 @@ in-memory records. emit_outputs prints nothing: the summary is the CLI's.
 from __future__ import annotations
 
 import io
-import itertools
 import math
 import os
 import stat
@@ -196,14 +195,12 @@ def ingest_tensor(path) -> FiberSample:
             if first is None:
                 rec = np.empty(0, dtype=_ENTRY)  # header only: loadtxt would warn
             else:
-                lines, skip = (path, head) if held is None else (
-                    itertools.chain([first], src), 0
-                )
+                src.seek(0)  # only an in-memory src is read again
                 with warnings.catch_warnings():
                     warnings.simplefilter("error")
                     rec = np.loadtxt(
-                        lines, dtype=_ENTRY, comments="#", skiprows=skip, ndmin=1,
-                        encoding="utf-8",
+                        path if held is None else src, dtype=_ENTRY, comments="#",
+                        skiprows=head, ndmin=1, encoding="utf-8",
                     )
         except (ValueError, Warning):  # UnicodeDecodeError included
             _raise_first_bad_line(path, held)

@@ -675,6 +675,14 @@ def test_config_mapping_round_trip():
     mapping = cfg.to_mapping()
     assert (mapping["eta_x"], mapping["tau"], mapping["R"]) == ("0.5", "0.05", "4")
     assert SolverConfig.from_mapping(mapping) == cfg
+    # numpy scalars echo as plain literals that read back
+    cfg = SolverConfig(
+        n=40, J=12, K=11, m=8, alpha=np.float64(0.3), beta=0.1, eta_A=np.float64(2.5),
+        T_max=np.int64(7),
+    )
+    mapping = cfg.to_mapping()
+    assert (mapping["alpha"], mapping["eta_A"], mapping["T_max"]) == ("0.3", "2.5", "7")
+    assert SolverConfig.from_mapping(mapping) == cfg
 
 
 # metrics / outputs -------------------------------------------------------

@@ -2,6 +2,7 @@ import dataclasses
 import importlib
 import math
 import pkgutil
+import re
 import time
 import tracemalloc
 
@@ -326,18 +327,69 @@ def test_file_source_exhaustion():
     assert [r.t for r in res.records] == [0, 1, 2, 3]
 
 
-def test_file_source_validates_shape():
+def spy_on_iht(monkeypatch):
+    """Record the Y of every runner.iht call."""
+    coded = []
+    iht = runner.iht
+
+    def spy(A, Y, X0, params):
+        coded.append(Y)
+        return iht(A, Y, X0, params)
+
+    monkeypatch.setattr(runner, "iht", spy)
+    return coded
+
+
+class EmptySource:
+    def __init__(self, cfg):
+        self._cfg = cfg
+
+    def initial_dictionary(self):
+        return gen_dictionary(self._cfg.n, self._cfg.m, 0)
+
+    def instance(self, t):
+        return None
+
+
+def test_run_checks_each_sample_where_it_enters(monkeypatch):
     cfg = cfg_small(J=15, K=12)
     good = sample_of(np.ones((cfg.n, 15, 12)))
-    FileSource(cfg, [good])
+    coded = spy_on_iht(monkeypatch)
+    assert run_online(cfg, FileSource(cfg, [good])).iterations == 1
     for shape in [(cfg.n, 15, 13), (cfg.n, 12, 15), (cfg.n + 1, 15, 12)]:
         # (n, 12, 15) has the same J*K: only the shape check tells them apart
-        with pytest.raises(ValueError, match="Tensor 1 has shape"):
-            FileSource(cfg, [good, sample_of(np.ones(shape))])
-    with pytest.raises(TypeError, match="not a FiberSample"):
-        FileSource(cfg, [np.ones((cfg.n, 15, 12))])
-    with pytest.raises(ValueError, match="at least one"):
-        FileSource(cfg, [])
+        coded.clear()
+        expect = f"Sample at iteration 1 has shape {shape}, config says {(cfg.n, 15, 12)}"
+        with pytest.raises(ValueError, match=re.escape(expect)):
+            run_online(cfg, FileSource(cfg, [good, sample_of(np.ones(shape))]))
+        assert len(coded) == 1 and coded[0] is good.Y  # only iteration 0 was coded
+    coded.clear()
+    with pytest.raises(TypeError, match="Sample at iteration 1 is a ndarray, not a FiberSample"):
+        run_online(cfg, FileSource(cfg, [good, np.ones((cfg.n, 15, 12))]))
+    assert len(coded) == 1
+    for source in (FileSource(cfg, []), EmptySource(cfg)):
+        with pytest.raises(ValueError, match="The source gave no sample at iteration 0"):
+            run_online(cfg, source)
+
+
+class WideSampleSource(SyntheticSource):
+    """From iteration 1 on, the sample and its ground truth have J + 2 for J."""
+
+    def __init__(self, cfg):
+        super().__init__(cfg)
+        self._wide = SyntheticSource(dataclasses.replace(cfg, J=cfg.J + 2))
+
+    def instance(self, t):
+        return super().instance(t) if t == 0 else self._wide.instance(t)
+
+
+def test_mis_shaped_truth_sample_fails_at_entry(monkeypatch):
+    cfg = cfg_small(T_max=3)
+    coded = spy_on_iht(monkeypatch)
+    expect = f"Sample at iteration 1 has shape {(cfg.n, cfg.J + 2, cfg.K)}"
+    with pytest.raises(ValueError, match=re.escape(expect)):  # not "Metrics failed"
+        run_online(cfg, WideSampleSource(cfg))
+    assert len(coded) == 1
 
 
 def test_file_mode_reports_movement():
@@ -479,18 +531,13 @@ def test_untangle_failure_names_iteration(monkeypatch):
 def test_loop_takes_sample_uncopied_when_nothing_is_dropped(monkeypatch):
     cfg = cfg_small(T_max=2)
     samples = planted_tensors(cfg, 2)
-    coded, split = [], []
-    iht, untangle_codes = runner.iht, runner.untangle_codes
-
-    def iht_spy(A, Y, X0, params):
-        coded.append(Y)
-        return iht(A, Y, X0, params)
+    coded, split = spy_on_iht(monkeypatch), []
+    untangle_codes = runner.untangle_codes
 
     def untangle_spy(X, cmap, J, K):
         split.append(cmap)
         return untangle_codes(X, cmap, J, K)
 
-    monkeypatch.setattr(runner, "iht", iht_spy)
     monkeypatch.setattr(runner, "untangle_codes", untangle_spy)
     run_online(cfg, FileSource(cfg, samples))
     assert [Y is s.Y for Y, s in zip(coded, samples)] == [True, True]
