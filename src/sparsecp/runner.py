@@ -370,6 +370,11 @@ def run_online(cfg: SolverConfig, source: TensorSource | None = None) -> RunResu
                     raise ValueError("The source gave no sample at iteration 0")
                 stop_reason = "source_exhausted"
                 break
+            if not (isinstance(inst, tuple) and len(inst) == 2):
+                kind = type(inst).__name__
+                raise TypeError(
+                    f"Source gave a {kind} at iteration {t}, not a (sample, truth) pair"
+                )
             sample, gt = inst
             if not isinstance(sample, FiberSample):
                 kind = type(sample).__name__

@@ -139,17 +139,25 @@ def cp_fibers(A, B, C) -> FiberSample:
 
     Fiber (j, k) is A (B[j] * C[k])^T, so it can be non-zero only where
     some atom r has B[j, r] != 0 and C[k, r] != 0: kept is the union of
-    those support pairs, and nothing of size J*K is built. The factors
-    are trusted: finite float64 matrices with equal column counts. The
-    values are formed as (S^T A^T)^T, so they come out column-major and
-    the sample takes them without a copy.
+    those support pairs. The (atom, row) non-zeros of B^T and C^T come
+    out sorted by atom, so each C entry is paired with its atom's run of
+    B entries by offset arithmetic, and the pairs are sorted and
+    deduplicated against their neighbours. Memory is O(support pairs):
+    nothing of size J*K is built, and no loop runs over the atoms. The
+    factors are trusted: finite float64 matrices with equal column
+    counts. The values are formed as (S^T A^T)^T, so they come out
+    column-major and the sample takes them without a copy.
     """
     J, K = B.shape[0], C.shape[0]
-    pairs = [
-        (np.flatnonzero(C[:, r])[:, None] * J + np.flatnonzero(B[:, r])).ravel()
-        for r in range(A.shape[1])
-    ]
-    cmap = ColumnIndexMap(J * K, np.unique(np.concatenate(pairs)))
+    rb, jb = np.nonzero(B.T)
+    rc, kc = np.nonzero(C.T)
+    nb = np.bincount(rb, minlength=A.shape[1])  # B entries per atom
+    reps = nb[rc]  # pairs each C entry makes
+    # pair q of C entry e takes B entry q - (e's first pair) + (its atom's first B entry)
+    shift = (np.cumsum(nb) - nb)[rc] - (np.cumsum(reps) - reps)
+    flat = np.repeat(kc * J, reps) + jb[np.repeat(shift, reps) + np.arange(reps.sum())]
+    flat.sort()
+    cmap = ColumnIndexMap(J * K, flat[np.diff(flat, prepend=-1) != 0])
     Y = (khatri_rao_columns(B, C, cmap).T @ A.T).T
     return FiberSample((A.shape[0], J, K), cmap, Y)
 

@@ -351,6 +351,13 @@ class EmptySource:
         return None
 
 
+class BareSampleSource(FileSource):
+    """Gives the bare sample where a (sample, truth) pair belongs."""
+
+    def instance(self, t):
+        return self._tensors[t] if t < len(self._tensors) else None
+
+
 def test_run_checks_each_sample_where_it_enters(monkeypatch):
     cfg = cfg_small(J=15, K=12)
     good = sample_of(np.ones((cfg.n, 15, 12)))
@@ -370,6 +377,11 @@ def test_run_checks_each_sample_where_it_enters(monkeypatch):
     for source in (FileSource(cfg, []), EmptySource(cfg)):
         with pytest.raises(ValueError, match="The source gave no sample at iteration 0"):
             run_online(cfg, source)
+    coded.clear()
+    with pytest.raises(TypeError, match=re.escape(
+            "Source gave a FiberSample at iteration 0, not a (sample, truth) pair")):
+        run_online(cfg, BareSampleSource(cfg, [good]))
+    assert not coded
 
 
 class WideSampleSource(SyntheticSource):

@@ -1,3 +1,5 @@
+from functools import partial
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -197,20 +199,57 @@ def test_block_coords_inverts_flat_law():
 # fiber samples ----------------------------------------------------------
 
 
-@pytest.mark.parametrize("alpha", [0.01, 0.05])
-@pytest.mark.parametrize("n,J,K,m", [(6, 7, 5, 2000), (6, 5, 7, 2000), (8, 70, 50, 40)])
-def test_cp_fibers_match_dense_reference(alpha, n, J, K, m):
-    # J != K both ways round, so a swapped j/k fails
+def drawn_factors(n, J, K, m, alpha):
+    """Three draws of (A, B, C); J != K both ways round, so a swapped j/k fails."""
     for seed in range(3):
-        A = gen_dictionary(n, m, seed)
-        B = gen_sparse_factor(J, m, alpha, rng_seed=(seed, 1))
-        C = gen_sparse_factor(K, m, alpha, rng_seed=(seed, 2))
+        yield (
+            gen_dictionary(n, m, seed),
+            gen_sparse_factor(J, m, alpha, rng_seed=(seed, 1)),
+            gen_sparse_factor(K, m, alpha, rng_seed=(seed, 2)),
+        )
+
+
+def supported_factors(J, K, b_rows, c_rows, n=3):
+    """One (A, B, C) whose atom r is non-zero on rows b_rows[r] of B and
+    c_rows[r] of C. Every entry is positive, so a fiber that several atoms
+    share cannot cancel to zero."""
+    m = len(b_rows)
+    A = np.arange(1.0, n * m + 1).reshape(n, m)
+    B, C = np.zeros((J, m)), np.zeros((K, m))
+    for r in range(m):
+        B[b_rows[r], r] = 1.0 + r
+        C[c_rows[r], r] = 2.0 + r
+    yield A, B, C
+
+
+FIBER_CASES = [
+    *(
+        pytest.param(partial(drawn_factors, n, J, K, m, alpha), True,
+                     id=f"{n}-{J}-{K}-{m}-{alpha}")
+        for n, J, K, m in [(6, 7, 5, 2000), (6, 5, 7, 2000), (8, 70, 50, 40)]
+        for alpha in [0.01, 0.05]
+    ),
+    # (j, k) = (1, 2) is a support pair of both atoms
+    pytest.param(partial(supported_factors, 5, 4, [[0, 1], [1, 4]], [[2], [0, 2]]), True,
+                 id="shared-pair"),
+    pytest.param(partial(supported_factors, 5, 4, [[0], [2, 3], [4]], [[1], [], [3]]), True,
+                 id="atom-without-C-support"),
+    pytest.param(partial(supported_factors, 5, 4, [[1, 3]], [[0, 2, 3]]), True, id="one-atom"),
+    pytest.param(partial(supported_factors, 5, 4, [[], []], [[0], [1, 2]]), False,
+                 id="all-zero-B"),
+]
+
+
+@pytest.mark.parametrize("factors,nonempty", FIBER_CASES)
+def test_cp_fibers_match_dense_reference(factors, nonempty):
+    for A, B, C in factors():
+        n, J, K = A.shape[0], B.shape[0], C.shape[0]
         s = cp_fibers(A, B, C)
         Y, cmap = extract_nonzero_columns(mode1_unfold(cp_compose(A, B, C)))
         assert s.shape == (n, J, K) and s.cmap.total_cols == J * K
-        assert s.cmap.p > 0
+        assert (s.cmap.p > 0) == nonempty
         assert np.array_equal(s.cmap.kept, cmap.kept)
-        assert np.max(np.abs(s.Y - Y)) <= 1e-15
+        assert s.Y.shape == Y.shape and np.abs(s.Y - Y).max(initial=0.0) <= 1e-15
         kept, _ = nonzero_fibers(cp_compose(A, B, C))
         assert np.array_equal(s.cmap.kept, kept)
 

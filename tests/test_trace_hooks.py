@@ -4,16 +4,14 @@ refactor that drops or reshapes one breaks every benchmark run."""
 
 import importlib.util
 import json
-import os
-import subprocess
-import sys
 from pathlib import Path
 
 import pytest
 
 import sparsecp
 
-ROOT = Path(__file__).resolve().parents[1]
+from child import ROOT, run_python
+
 SPANS = ROOT / "perfbench" / "spans.py"
 
 
@@ -30,39 +28,27 @@ def test_trace_hooks_resolve():
     assert not missing, f"perfbench/spans.py wraps names the package lacks: {missing}"
 
 
+def _run_child(mode, workload, work, result, *extra):
+    proc = run_python(
+        [ROOT / "perfbench" / "solve.py", mode, "--workload", workload, "--seed", "1",
+         *extra, "--work", work, "--result", result],
+        cwd=work,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(Path(result).read_text(encoding="utf-8"))
+
+
 @pytest.mark.parametrize("trace", [0, 1])
 def test_benchmark_child_solves_wide_modes(tmp_path, trace):
     # the child also calls package names outside spans.WRAPS (match_columns,
     # column_errors, rel_frobenius, emit_outputs, ...)
-    env = dict(os.environ)
-    env["PYTHONPATH"] = str(ROOT / "src") + os.pathsep + env.get("PYTHONPATH", "")
-    result = tmp_path / "result.json"
-    proc = subprocess.run(
-        [sys.executable, str(ROOT / "perfbench" / "solve.py"), "solve",
-         "--workload", "wide_modes", "--seed", "1", "--trace", str(trace),
-         "--work", str(tmp_path), "--result", str(result)],
-        env=env, cwd=tmp_path, capture_output=True, text=True, timeout=300,
-    )
-    assert proc.returncode == 0, proc.stderr
-    out = json.loads(result.read_text(encoding="utf-8"))
+    out = _run_child("solve", "wide_modes", tmp_path, tmp_path / "result.json",
+                     "--trace", str(trace))
     assert out["stop_reason"] == "max_iterations"
     assert out["iterations"] == 8
     assert ("spans" in out) == bool(trace)
     if trace:
         assert out["spans"] > 0
-
-
-def _run_child(mode, workload, work, result, *extra):
-    env = dict(os.environ)
-    env["PYTHONPATH"] = str(ROOT / "src") + os.pathsep + env.get("PYTHONPATH", "")
-    proc = subprocess.run(
-        [sys.executable, str(ROOT / "perfbench" / "solve.py"), mode,
-         "--workload", workload, "--seed", "1", *extra,
-         "--work", str(work), "--result", str(result)],
-        env=env, cwd=work, capture_output=True, text=True, timeout=300,
-    )
-    assert proc.returncode == 0, proc.stderr
-    return json.loads(Path(result).read_text(encoding="utf-8"))
 
 
 @pytest.mark.parametrize("trace", [0, 1])
