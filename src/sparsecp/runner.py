@@ -287,8 +287,9 @@ class TensorSource(Protocol):
 class SyntheticSource:
     """Draws a fresh planted instance per iteration.
 
-    Seed streams under the run seed: (0,) dictionary, (1,) perturbed
-    init, (2, t) the factors of iteration t.
+    Child seeds of the run seed, one Philox stream each: (0,) the
+    dictionary, (1,) the perturbed init, (2, t, 0) and (2, t, 1) the
+    factors B and C of iteration t.
     """
 
     def __init__(self, cfg: SolverConfig):

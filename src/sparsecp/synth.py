@@ -1,17 +1,15 @@
 """Synthetic instance generators: dictionary, sparse factors, perturbed init.
 
 Reproducibility contract: every generator is a pure function of its
-parameters and a seed. Seeds are numpy SeedSequences; an integer seed is
-promoted to one. Matrix column c draws from its own child stream (spawn
-key = parent key + (c,)) over the Philox4x64-10 bit generator. The
-bytes rest on two parts of numpy that NEP 19 keeps stable: the
-SeedSequence hash, which column_keys computes for all columns at once,
-and Philox's raw stream. The dictionary and the initial perturbation
-take their normals from numpy's Generator on that stream. The sparse
+parameters and a seed (an integer, a tuple of integers or a numpy
+SeedSequence). Each call reads one Philox4x64-10 stream,
+np.random.Philox(seed), from its start. The dictionary and the initial
+perturbation take their normals from numpy's Generator on that stream,
+all at once as standard_normal((m, n)), row i for column i. The sparse
 factors map the raw words to support, sign and magnitude in this
 module's own code, byte for byte as Generator.random and
-Generator.integers(0, 2) would, so their bytes depend on no Generator
-method.
+Generator.integers(0, 2) would, so their bytes rest only on the
+SeedSequence hash and Philox's raw stream, which NEP 19 keeps stable.
 """
 
 from __future__ import annotations
@@ -30,7 +28,6 @@ __all__ = [
     "SparsityParams",
     "GroundTruth",
     "child_seed",
-    "column_keys",
     "gen_dictionary",
     "gen_sparse_factor",
     "perturb_init",
@@ -81,67 +78,6 @@ def child_seed(seed, *key: int) -> np.random.SeedSequence:
     return np.random.SeedSequence(entropy=base.entropy, spawn_key=base.spawn_key + key)
 
 
-# numpy's SeedSequence hash: the multiplier chains of mix_entropy (A) and
-# generate_state (B), the pool mix (L, R) and a 16-bit xorshift, on uint32.
-_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
-_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
-_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
-_POOL_SIZE = 4
-_M32 = 0xFFFFFFFF
-
-
-def _n_words(x) -> int:
-    """Return the number of uint32 words SeedSequence makes of an entropy or spawn key."""
-    if isinstance(x, (int, np.integer)):
-        return max(1, -(-int(x).bit_length() // 32))
-    return sum(_n_words(v) for v in x)
-
-
-def _hashmix(v: np.ndarray, init: int, mult: int, call: int) -> np.ndarray:
-    """Hash row d of v, a (4, m) uint64 array of 32-bit values, as call `call + d`.
-
-    Call k of a hash chain xors with init*mult^k, multiplies by
-    init*mult^(k+1) and xorshifts, all mod 2^32.
-    """
-    chain = [init * pow(mult, k, 1 << 32) & _M32 for k in range(call, call + _POOL_SIZE + 1)]
-    h = (v ^ np.array(chain[:-1], np.uint64)[:, None]) * np.array(chain[1:], np.uint64)[:, None]
-    h &= _M32
-    return h ^ (h >> 16)
-
-
-def column_keys(seed, m: int) -> np.ndarray:
-    """Return the (m, 2) uint64 Philox keys of the column streams 0, ..., m-1.
-
-    Row c equals child_seed(seed, c).generate_state(2, np.uint64). The
-    children's entropy words differ only in the last one, c, which lies
-    past the 4-word pool: the shared words are mixed once, into the pool
-    of child_seed(seed), and c is mixed into each pool word by its own
-    hash call, for all columns at once.
-    """
-    base = child_seed(seed)
-    # a spawned child pads its run entropy to the pool size; 4 hash calls per word precede c
-    words = max(_n_words(base.entropy), _POOL_SIZE) + _n_words(base.spawn_key)
-    cols = np.broadcast_to(np.arange(m, dtype=np.uint64), (_POOL_SIZE, m))
-    h = _hashmix(cols, _INIT_A, _MULT_A, _POOL_SIZE * words)
-    pool = (_MIX_L * base.pool.astype(np.uint64)[:, None] - _MIX_R * h) & _M32
-    state = _hashmix(pool ^ (pool >> 16), _INIT_B, _MULT_B, 0)
-    return (state[0::2] | state[1::2] << 32).T
-
-
-def _column_streams(seed, m: int):
-    """Yield one Generator m times, set to column stream c = 0, ..., m-1 in turn.
-
-    Yield c draws as np.random.Generator(np.random.Philox(child_seed(seed, c)))
-    would: one Philox gets each key with a zero counter and an empty buffer.
-    """
-    bits = np.random.Philox(0)
-    state, rng = bits.state, np.random.Generator(bits)
-    for key in column_keys(seed, m).tolist():
-        state["state"]["key"] = key
-        bits.state = state
-        yield rng
-
-
 def subgaussian_magnitude_bound(C_lb: float) -> float:
     """Return b with magnitudes uniform on [C_lb, b] having second moment 1.
 
@@ -153,21 +89,39 @@ def subgaussian_magnitude_bound(C_lb: float) -> float:
     return (-C_lb + math.sqrt(12.0 - 3.0 * C_lb * C_lb)) / 2.0
 
 
+def _unit_normals(rng_seed, n: int, m: int, against=None) -> np.ndarray:
+    """Return n x m unit columns w / ||w||, with w = g ~ N(0, I_n), or g less its
+    component along the same column of the unit-column matrix against.
+
+    Row i of standard_normal((m, n)) on the seed's stream is g for column
+    i. A degenerate column, ||w|| <= 1e-12 ||g||, draws again from the same
+    stream, in column order, up to _REDRAW_LIMIT draws in all.
+    """
+    rng = np.random.Generator(np.random.Philox(rng_seed))
+    U = np.empty((n, m), order="F")
+    cols, G = np.arange(m), rng.standard_normal((m, n)).T
+    for _ in range(_REDRAW_LIMIT):
+        W = G
+        if against is not None:
+            a = against[:, cols]
+            W = G - a * np.einsum("ij,ij->j", a, G)
+        norm = column_norms(W)
+        ok = norm > 1e-12 * column_norms(G)
+        U[:, cols[ok]] = W[:, ok] / norm[ok]
+        cols = cols[~ok]
+        if cols.size == 0:
+            return U
+        G = rng.standard_normal((cols.size, n)).T
+    if against is None:
+        raise RuntimeError(f"Could not draw a nonzero dictionary column {cols[0]}")
+    raise RuntimeError(f"Could not draw a direction orthogonal to column {cols[0]}")
+
+
 def gen_dictionary(n: int, m: int, rng_seed) -> np.ndarray:
     """Return an n x m matrix of iid N(0,1) columns scaled to unit norm."""
     if n < 1 or m < 1:
         raise ValueError(f"Dimensions must be >= 1, got n={n}, m={m}")
-    A = np.empty((n, m), order="F")
-    for i, rng in enumerate(_column_streams(rng_seed, m)):
-        for _ in range(_REDRAW_LIMIT):
-            g = rng.standard_normal(n)
-            norm = float(np.linalg.norm(g))
-            if norm > 0.0:
-                A[:, i] = g / norm
-                break
-        else:
-            raise RuntimeError(f"Could not draw a nonzero dictionary column {i}")
-    return A
+    return _unit_normals(rng_seed, n, m)
 
 
 def gen_sparse_factor(
@@ -184,32 +138,27 @@ def gen_sparse_factor(
     are sign * magnitude with magnitude uniform on [C_lb, b], calibrated
     to zero mean and unit variance (see subgaussian_magnitude_bound).
 
-    Column c reads the raw 64-bit words u of its stream, as a Generator
-    drawing random(dim), integers(0, 2, k) and random(k) would, with k
-    the column's support size:
-    - row j is in the support when the double (u[j] >> 11) * 2^-53 < prob;
-    - the sign of the r-th non-zero is the top bit of the r-th 32-bit
-      half after u[dim - 1], low half first: Lemire's method at range 2;
-    - its magnitude is the double of u[dim + ceil(k/2) + r]; a double
-      takes a fresh word and skips a buffered 32-bit half.
+    The stream's raw 64-bit words u are read in three runs, as a
+    Generator drawing random((m, dim)), integers(0, 2, nnz) and
+    random(nnz) would, with nnz the support size:
+    - entry (j, c) is in the support when the double
+      (u[c*dim + j] >> 11) * 2^-53 of the first run is < prob;
+    - the sign of the r-th non-zero, counted down column 0, then column 1,
+      and so on, is the top bit of the r-th 32-bit half of the second run,
+      ceil(nnz/2) words, low half first: Lemire's method at range 2;
+    - its magnitude is the double of word r of the third run, nnz words,
+      drawn for bounded sub-Gaussian non-zeros only.
     """
     if not 0.0 < prob < 1.0:
         raise ValueError(f"prob must lie in (0, 1), got {prob}")
     b = subgaussian_magnitude_bound(C_lb)
-    rademacher = dist is Distribution.RADEMACHER
-    width = dim + (dim + 1) // 2 + (0 if rademacher else dim)  # enough for k = dim
-    raw = np.empty((m, width), dtype=np.uint64)
-    for c, rng in enumerate(_column_streams(rng_seed, m)):
-        raw[c] = rng.bit_generator.random_raw(width)
-    support = (raw[:, :dim] >> 11) * 2.0**-53 < prob
-    col, row = np.nonzero(support)
-    k = support.sum(axis=1)
-    r = np.arange(col.size) - (np.cumsum(k) - k)[col]  # rank of each non-zero in its column
-    halves = raw.astype("<u8", copy=False).view("<u4")  # low half first, as Philox hands them out
-    values = 2.0 * (halves[col, 2 * dim + r] >> 31) - 1.0
-    if not rademacher:
-        u = (raw[col, dim + (k[col] + 1) // 2 + r] >> 11) * 2.0**-53
-        values = values * (C_lb + (b - C_lb) * u)
+    bits = np.random.Philox(rng_seed)
+    col, row = np.nonzero((bits.random_raw((m, dim)) >> 11) * 2.0**-53 < prob)
+    nnz = col.size
+    halves = bits.random_raw((nnz + 1) // 2).astype("<u8", copy=False).view("<u4")
+    values = 2.0 * (halves[:nnz] >> 31) - 1.0
+    if dist is not Distribution.RADEMACHER:
+        values *= C_lb + (b - C_lb) * ((bits.random_raw(nnz) >> 11) * 2.0**-53)
     F = np.zeros((dim, m), order="F")
     F.T[col, row] = values
     return F
@@ -232,21 +181,9 @@ def perturb_init(A_star, eps0: float, rng_seed) -> np.ndarray:
         return A_star.copy(order="F")
     n, m = A_star.shape
     theta = 2.0 * math.asin(eps0 / 2.0)
-    cos_t, sin_t = math.cos(theta), math.sin(theta)
-    A0 = np.empty_like(A_star)
-    for i, rng in enumerate(_column_streams(rng_seed, m)):
-        a = A_star[:, i]
-        # fires when A_star came from gen_dictionary under this same seed: g is parallel to a
-        for _ in range(_REDRAW_LIMIT):
-            g = rng.standard_normal(n)
-            w = g - (a @ g) * a
-            norm = float(np.linalg.norm(w))
-            if norm > 1e-12 * float(np.linalg.norm(g)):
-                A0[:, i] = cos_t * a + (sin_t / norm) * w
-                break
-        else:
-            raise RuntimeError(f"Could not draw a direction orthogonal to column {i}")
-    return A0
+    # redraws fire when A_star came from gen_dictionary under this same seed: g is parallel to a
+    W = _unit_normals(rng_seed, n, m, A_star)
+    return math.cos(theta) * A_star + math.sin(theta) * W
 
 
 def gen_factor_pair(
@@ -254,7 +191,7 @@ def gen_factor_pair(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Return the sparse factors (B, C) of one instance.
 
-    B draws from the child stream (0,), C from (1,), each per-column.
+    B reads the stream of the child seed (0,), C that of (1,).
     """
     B = gen_sparse_factor(J, m, sp.alpha, dist, C_lb, child_seed(rng_seed, 0))
     C = gen_sparse_factor(K, m, sp.beta, dist, C_lb, child_seed(rng_seed, 1))

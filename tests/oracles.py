@@ -3,8 +3,8 @@
 The independent references use plain numpy/scipy only, so the production
 kernels are checked against algorithms that share no code with them
 (one-sided Jacobi SVD vs LAPACK, the Hungarian assignment vs greedy
-matching, triple loops vs einsum, numpy's Generator methods per column vs
-the raw-word draw, iht's plain step loop vs its closed form). The
+matching, triple loops vs einsum, numpy's Generator methods vs the
+raw-word draw, iht's plain step loop vs its closed form). The
 earlier loop and lexsort forms of match_columns and
 normalized_column_errors are kept as they were (on column_norms) to pin
 the whole-array ones to the same results, and the earlier 1-sparse
@@ -21,7 +21,7 @@ from scipy.optimize import linear_sum_assignment
 
 from sparsecp.linalg import column_norms, rank1_svd
 from sparsecp.metrics import Alignment, align_columns, column_errors, match_columns
-from sparsecp.synth import Distribution, child_seed, subgaussian_magnitude_bound
+from sparsecp.synth import Distribution, subgaussian_magnitude_bound
 
 
 def jacobi_sigma1(M, sweeps: int = 60, tol: float = 1e-14) -> float:
@@ -192,23 +192,19 @@ def one_sparse_rule(A, Y, X0, eta: float, tau: float, R: int) -> list[int]:
     return settled
 
 
-def sparse_factor_per_column(dim, m, prob, dist, C_lb, rng_seed) -> np.ndarray:
-    """gen_sparse_factor the slow way: a SeedSequence, a Philox and a Generator
-    per column, which draws dim support uniforms, then the non-zeros' signs
-    by integers(0, 2), then their magnitudes."""
+def sparse_factor_generator_draw(dim, m, prob, dist, C_lb, rng_seed) -> np.ndarray:
+    """gen_sparse_factor the plain way: one Generator on Philox(rng_seed)
+    draws the m x dim support uniforms, column i of F in row i, then the
+    non-zeros' signs by integers(0, 2) and their magnitudes, in column order."""
+    rng = np.random.Generator(np.random.Philox(rng_seed))
+    support = rng.random((m, dim)) < prob
     F = np.zeros((dim, m), order="F")
-    b = subgaussian_magnitude_bound(C_lb)
-    for i in range(m):
-        rng = np.random.Generator(np.random.Philox(child_seed(rng_seed, i)))
-        support = np.flatnonzero(rng.random(dim) < prob)
-        if support.size == 0:
-            continue
-        signs = 2.0 * rng.integers(0, 2, size=support.size) - 1.0
-        if dist is Distribution.RADEMACHER:
-            F[support, i] = signs
-        else:
-            mags = C_lb + (b - C_lb) * rng.random(support.size)
-            F[support, i] = signs * mags
+    nnz = int(support.sum())
+    values = 2.0 * rng.integers(0, 2, size=nnz) - 1.0
+    if dist is not Distribution.RADEMACHER:
+        b = subgaussian_magnitude_bound(C_lb)
+        values = values * (C_lb + (b - C_lb) * rng.random(nnz))
+    F.T[support] = values
     return F
 
 

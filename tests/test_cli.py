@@ -216,7 +216,7 @@ def test_decompose_runs_on_files(tmp_path, capsys):
 
 def test_decompose_dims_from_tensor_header(tmp_path, capsys):
     Z = np.zeros((5, 3, 2))
-    Z[0, 0, 0] = 1.0
+    Z[0, 0, 0] = 0.4
     p = tmp_path / "z.tnsr"
     write_tnsr(p, Z)
     out = tmp_path / "d"
@@ -224,8 +224,9 @@ def test_decompose_dims_from_tensor_header(tmp_path, capsys):
         ["decompose", str(p), "--m", "2", "--eta_A", "1.0", "--T_max", "5",
          "--eps_T", "1e-300", "--out", str(out)]
     )
-    # the lone spike is below every code threshold, so every code is zero:
-    # the dictionary never moves, but no movement stop fires on zero codes
+    # the lone spike is below every code threshold, |A[0, i] * 0.4| <= 0.4 <
+    # C_lb / 2 = 0.5 for any unit-column start, so every code is zero: the
+    # dictionary never moves, but no movement stop fires on zero codes
     assert code == 2
     assert "stop_reason=source_exhausted idle=1 -> " in capsys.readouterr().out
     echoed = dict(

@@ -4,13 +4,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import closeness_check, incoherence, sparse_factor_per_column
+from oracles import closeness_check, incoherence, sparse_factor_generator_draw
 from sparsecp.linalg import column_norms
 from sparsecp.synth import (
     Distribution,
     SparsityParams,
     child_seed,
-    column_keys,
     gen_dictionary,
     gen_sparse_factor,
     gen_tensor_instance,
@@ -89,15 +88,6 @@ PROBS = st.one_of(
 )
 
 
-@settings(max_examples=80, deadline=None)
-@given(SEEDS, st.integers(0, 70))
-def test_column_keys_are_the_child_seeds_philox_keys(seed, m):
-    keys = column_keys(seed, m)
-    assert keys.shape == (m, 2) and keys.dtype == np.uint64
-    for c in range(m):
-        assert np.array_equal(keys[c], child_seed(seed, c).generate_state(2, np.uint64))
-
-
 @settings(max_examples=120, deadline=None)
 @given(
     st.integers(1, 400),
@@ -107,25 +97,26 @@ def test_column_keys_are_the_child_seeds_philox_keys(seed, m):
     st.floats(0.0, 1.0, exclude_min=True),
     SEEDS,
 )
-def test_sparse_factor_is_the_per_column_generator_draw(dim, m, prob, dist, C_lb, seed):
+def test_sparse_factor_is_the_generator_draw(dim, m, prob, dist, C_lb, seed):
     F = gen_sparse_factor(dim, m, prob, dist, C_lb, seed)
     assert F.flags.f_contiguous
-    assert F.tobytes() == sparse_factor_per_column(dim, m, prob, dist, C_lb, seed).tobytes()
+    assert F.tobytes() == sparse_factor_generator_draw(dim, m, prob, dist, C_lb, seed).tobytes()
 
 
 @pytest.mark.parametrize("seed", [42, 2**70 + 5, (3, 1), child_seed(7, 3, 1)])
 def test_dictionary_and_init_draw_the_child_seed_streams(seed):
     A = gen_dictionary(30, 9, seed)
     A0 = perturb_init(A, 0.4, child_seed(seed, 99))
+    assert A.flags.f_contiguous and A0.flags.f_contiguous
     theta = 2.0 * math.asin(0.4 / 2.0)
+    G = np.random.Generator(np.random.Philox(seed)).standard_normal((9, 30))
+    H = np.random.Generator(np.random.Philox(child_seed(seed, 99))).standard_normal((9, 30))
     for c in range(9):
-        g = np.random.Generator(np.random.Philox(child_seed(seed, c))).standard_normal(30)
-        assert A[:, c].tobytes() == (g / float(np.linalg.norm(g))).tobytes()
-        a = A[:, c]
-        g = np.random.Generator(np.random.Philox(child_seed(seed, 99, c))).standard_normal(30)
-        w = g - (a @ g) * a
-        expect = math.cos(theta) * a + (math.sin(theta) / float(np.linalg.norm(w))) * w
-        assert A0[:, c].tobytes() == expect.tobytes()
+        a, g = A[:, c], G[c]
+        assert np.max(np.abs(a - g / np.linalg.norm(g))) <= 1e-15
+        w = H[c] - (a @ H[c]) * a
+        expect = math.cos(theta) * a + (math.sin(theta) / np.linalg.norm(w)) * w
+        assert np.max(np.abs(A0[:, c] - expect)) <= 1e-15
 
 
 def test_sparse_factor_validates_prob():
@@ -205,9 +196,8 @@ def test_perturb_init_redraws_direction_parallel_to_column():
     # one seed for the dictionary and the perturbation: each column's first
     # draw is the dictionary column unnormalized, so only the redraw helps
     A = gen_dictionary(100, 20, 6)
-    g = np.random.Generator(np.random.Philox(child_seed(6, 0))).standard_normal(100)
-    a = A[:, 0]
-    assert np.linalg.norm(g - (a @ g) * a) <= 1e-12 * np.linalg.norm(g)
+    G = np.random.Generator(np.random.Philox(6)).standard_normal((20, 100)).T
+    assert np.all(column_norms(G - A * np.einsum("ij,ij->j", A, G)) <= 1e-12 * column_norms(G))
     eps0 = 0.5
     A0 = perturb_init(A, eps0, rng_seed=6)
     assert np.max(np.abs(column_norms(A0) - 1.0)) <= 1e-12
