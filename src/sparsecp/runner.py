@@ -434,8 +434,9 @@ def run_online(cfg: SolverConfig, source: TensorSource | None = None) -> RunResu
                     X_al = align_rows(Xh, align)
                     err_X_relF = rel_frobenius(X_al, X_star)
                     ss_ok = signed_support_equal(X_al, X_star)
-                err_B_max = float(normalized_column_errors(unf.B, gt.B, align).max())
-                err_C_max = float(normalized_column_errors(unf.C, gt.C, align).max())
+                shown = X_star.any(axis=1)  # an atom no kept fiber shows is scored against zeros
+                err_B_max = float(normalized_column_errors(unf.B, gt.B * shown, align).max())
+                err_C_max = float(normalized_column_errors(unf.C, gt.C * shown, align).max())
                 if g is not None:
                     used = (Xh[:, sel] != 0.0).any(axis=1)
                     min_corr = _min_descent_correlation(g, A, gt.A, align, used, cfg.eps_T)

@@ -2,14 +2,10 @@
 
 Reproducibility contract: every generator is a pure function of its
 parameters and a seed (an integer, a tuple of integers or a numpy
-SeedSequence). Each call reads one Philox4x64-10 stream,
-np.random.Philox(seed), from its start. The dictionary and the initial
-perturbation take their normals from numpy's Generator on that stream,
-all at once as standard_normal((m, n)), row i for column i. The sparse
-factors map the raw words to support, sign and magnitude in this
-module's own code, byte for byte as Generator.random and
-Generator.integers(0, 2) would, so their bytes rest only on the
-SeedSequence hash and Philox's raw stream, which NEP 19 keeps stable.
+SeedSequence). Each call draws from the start of one
+np.random.Generator on np.random.Philox(seed), so the bytes rest on the
+SeedSequence hash, the Philox stream, and Generator.random,
+Generator.integers and Generator.standard_normal.
 """
 
 from __future__ import annotations
@@ -20,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import as_matrix, column_norms
+from .linalg import as_matrix, column_norms, normalize_columns
 from .tensor_core import cp_compose
 
 __all__ = [
@@ -89,22 +85,21 @@ def subgaussian_magnitude_bound(C_lb: float) -> float:
     return (-C_lb + math.sqrt(12.0 - 3.0 * C_lb * C_lb)) / 2.0
 
 
-def _unit_normals(rng_seed, n: int, m: int, against=None) -> np.ndarray:
-    """Return n x m unit columns w / ||w||, with w = g ~ N(0, I_n), or g less its
+def _unit_normals(rng_seed, against: np.ndarray) -> np.ndarray:
+    """Return n x m unit columns w / ||w||, with w = g ~ N(0, I_n) less its
     component along the same column of the unit-column matrix against.
 
     Row i of standard_normal((m, n)) on the seed's stream is g for column
     i. A degenerate column, ||w|| <= 1e-12 ||g||, draws again from the same
     stream, in column order, up to _REDRAW_LIMIT draws in all.
     """
+    n, m = against.shape
     rng = np.random.Generator(np.random.Philox(rng_seed))
     U = np.empty((n, m), order="F")
     cols, G = np.arange(m), rng.standard_normal((m, n)).T
     for _ in range(_REDRAW_LIMIT):
-        W = G
-        if against is not None:
-            a = against[:, cols]
-            W = G - a * np.einsum("ij,ij->j", a, G)
+        a = against[:, cols]
+        W = G - a * np.einsum("ij,ij->j", a, G)
         norm = column_norms(W)
         ok = norm > 1e-12 * column_norms(G)
         U[:, cols[ok]] = W[:, ok] / norm[ok]
@@ -112,16 +107,15 @@ def _unit_normals(rng_seed, n: int, m: int, against=None) -> np.ndarray:
         if cols.size == 0:
             return U
         G = rng.standard_normal((cols.size, n)).T
-    if against is None:
-        raise RuntimeError(f"Could not draw a nonzero dictionary column {cols[0]}")
     raise RuntimeError(f"Could not draw a direction orthogonal to column {cols[0]}")
 
 
 def gen_dictionary(n: int, m: int, rng_seed) -> np.ndarray:
-    """Return an n x m matrix of iid N(0,1) columns scaled to unit norm."""
+    """Return n x m unit columns: column i is row i of standard_normal((m, n)), normalized."""
     if n < 1 or m < 1:
         raise ValueError(f"Dimensions must be >= 1, got n={n}, m={m}")
-    return _unit_normals(rng_seed, n, m)
+    rng = np.random.Generator(np.random.Philox(rng_seed))
+    return normalize_columns(rng.standard_normal((m, n)).T, context="gen_dictionary")
 
 
 def gen_sparse_factor(
@@ -137,30 +131,21 @@ def gen_sparse_factor(
     Rademacher non-zeros are +-1 uniform; bounded sub-Gaussian non-zeros
     are sign * magnitude with magnitude uniform on [C_lb, b], calibrated
     to zero mean and unit variance (see subgaussian_magnitude_bound).
-
-    The stream's raw 64-bit words u are read in three runs, as a
-    Generator drawing random((m, dim)), integers(0, 2, nnz) and
-    random(nnz) would, with nnz the support size:
-    - entry (j, c) is in the support when the double
-      (u[c*dim + j] >> 11) * 2^-53 of the first run is < prob;
-    - the sign of the r-th non-zero, counted down column 0, then column 1,
-      and so on, is the top bit of the r-th 32-bit half of the second run,
-      ceil(nnz/2) words, low half first: Lemire's method at range 2;
-    - its magnitude is the double of word r of the third run, nnz words,
-      drawn for bounded sub-Gaussian non-zeros only.
+    Column c's support is row c of random((m, dim)) < prob; the signs
+    and then the magnitudes of the nnz non-zeros, taken down column 0,
+    then column 1, and so on, are integers(0, 2, nnz) and random(nnz).
     """
     if not 0.0 < prob < 1.0:
         raise ValueError(f"prob must lie in (0, 1), got {prob}")
     b = subgaussian_magnitude_bound(C_lb)
-    bits = np.random.Philox(rng_seed)
-    col, row = np.nonzero((bits.random_raw((m, dim)) >> 11) * 2.0**-53 < prob)
-    nnz = col.size
-    halves = bits.random_raw((nnz + 1) // 2).astype("<u8", copy=False).view("<u4")
-    values = 2.0 * (halves[:nnz] >> 31) - 1.0
+    rng = np.random.Generator(np.random.Philox(rng_seed))
+    support = rng.random((m, dim)) < prob
+    nnz = np.count_nonzero(support)
+    values = 2.0 * rng.integers(0, 2, nnz) - 1.0
     if dist is not Distribution.RADEMACHER:
-        values *= C_lb + (b - C_lb) * ((bits.random_raw(nnz) >> 11) * 2.0**-53)
+        values *= C_lb + (b - C_lb) * rng.random(nnz)
     F = np.zeros((dim, m), order="F")
-    F.T[col, row] = values
+    F.T[support] = values
     return F
 
 
@@ -179,10 +164,9 @@ def perturb_init(A_star, eps0: float, rng_seed) -> np.ndarray:
         raise ValueError("A_star columns must be unit norm")
     if eps0 == 0.0:
         return A_star.copy(order="F")
-    n, m = A_star.shape
     theta = 2.0 * math.asin(eps0 / 2.0)
     # redraws fire when A_star came from gen_dictionary under this same seed: g is parallel to a
-    W = _unit_normals(rng_seed, n, m, A_star)
+    W = _unit_normals(rng_seed, A_star)
     return math.cos(theta) * A_star + math.sin(theta) * W
 
 

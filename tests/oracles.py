@@ -3,9 +3,8 @@
 The independent references use plain numpy/scipy only, so the production
 kernels are checked against algorithms that share no code with them
 (one-sided Jacobi SVD vs LAPACK, the Hungarian assignment vs greedy
-matching, triple loops vs einsum, numpy's Generator methods vs the
-raw-word draw, iht's plain step loop vs its closed form). The
-earlier loop and lexsort forms of match_columns and
+matching, triple loops vs einsum, iht's plain step loop vs its closed
+form). The earlier loop and lexsort forms of match_columns and
 normalized_column_errors are kept as they were (on column_norms) to pin
 the whole-array ones to the same results, and the earlier 1-sparse
 closed-form rule to show that iht's certificate settles all its columns.
@@ -21,7 +20,6 @@ from scipy.optimize import linear_sum_assignment
 
 from sparsecp.linalg import column_norms, rank1_svd
 from sparsecp.metrics import Alignment, align_columns, column_errors, match_columns
-from sparsecp.synth import Distribution, subgaussian_magnitude_bound
 
 
 def jacobi_sigma1(M, sweeps: int = 60, tol: float = 1e-14) -> float:
@@ -190,22 +188,6 @@ def one_sparse_rule(A, Y, X0, eta: float, tau: float, R: int) -> list[int]:
         if eta * worst < tau * (1.0 - 1e-9):
             settled.append(q)
     return settled
-
-
-def sparse_factor_generator_draw(dim, m, prob, dist, C_lb, rng_seed) -> np.ndarray:
-    """gen_sparse_factor the plain way: one Generator on Philox(rng_seed)
-    draws the m x dim support uniforms, column i of F in row i, then the
-    non-zeros' signs by integers(0, 2) and their magnitudes, in column order."""
-    rng = np.random.Generator(np.random.Philox(rng_seed))
-    support = rng.random((m, dim)) < prob
-    F = np.zeros((dim, m), order="F")
-    nnz = int(support.sum())
-    values = 2.0 * rng.integers(0, 2, size=nnz) - 1.0
-    if dist is not Distribution.RADEMACHER:
-        b = subgaussian_magnitude_bound(C_lb)
-        values = values * (C_lb + (b - C_lb) * rng.random(nnz))
-    F.T[support] = values
-    return F
 
 
 def nonzero_fibers(Z):

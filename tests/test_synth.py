@@ -1,10 +1,10 @@
+import hashlib
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
 
-from oracles import closeness_check, incoherence, sparse_factor_generator_draw
+from oracles import closeness_check, incoherence
 from sparsecp.linalg import column_norms
 from sparsecp.synth import (
     Distribution,
@@ -16,7 +16,7 @@ from sparsecp.synth import (
     perturb_init,
     subgaussian_magnitude_bound,
 )
-from sparsecp.runner import RunMode, SolverConfig
+from sparsecp.runner import RunMode, SolverConfig, SyntheticSource
 from sparsecp.tensor_core import (
     extract_nonzero_columns,
     khatri_rao_transpose,
@@ -70,37 +70,45 @@ def test_sparse_factor_subgaussian_moments():
     assert 0.95 <= np.mean(vals**2) <= 1.05
 
 
-# ints of 1 to 6 words (past the 4-word pool), tuple entropy as in (seed, 1),
-# and SeedSequences with 0-3 spawn words, some of them past 2^32
-SEEDS = st.one_of(
-    st.integers(0, 2**160),
-    st.tuples(st.integers(0, 2**40), st.integers(0, 3)),
-    st.builds(
-        lambda entropy, key: np.random.SeedSequence(entropy, spawn_key=tuple(key)),
-        st.one_of(st.integers(0, 2**160), st.lists(st.integers(0, 2**32 - 1), min_size=1, max_size=6)),
-        st.lists(st.integers(0, 2**33), max_size=3),
-    ),
-)
-PROBS = st.one_of(
-    st.floats(1e-12, 0.02),
-    st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
-    st.floats(0.98, 1.0, exclude_max=True),
-)
+def digest(a) -> str:
+    return hashlib.sha256(a.tobytes()).hexdigest()[:16]
 
 
-@settings(max_examples=120, deadline=None)
-@given(
-    st.integers(1, 400),
-    st.integers(1, 60),
-    PROBS,
-    st.sampled_from(Distribution),
-    st.floats(0.0, 1.0, exclude_min=True),
-    SEEDS,
+# sha256 prefixes of the draws under numpy 2.4.6: a numpy change that moves
+# any Generator draw, or a change to how synth calls it, fails these loudly
+DIGEST_SEEDS = {
+    "int": 2**70 + 5,
+    "tuple": (3, 1),
+    "spawned": np.random.SeedSequence(7, spawn_key=(2, 5)),
+}
+
+
+@pytest.mark.parametrize(
+    "dist, shape, seed, want",
+    [
+        (Distribution.RADEMACHER, (300, 50, 0.01), "int", "085b18b9c0fc6121"),
+        (Distribution.RADEMACHER, (300, 50, 0.01), "tuple", "3f851f8857d162ab"),
+        (Distribution.RADEMACHER, (300, 50, 0.01), "spawned", "a5c7d43cc239b0a6"),
+        (Distribution.BOUNDED_SUBGAUSSIAN, (100, 50, 0.05), "int", "7fe9b38bf734d1c1"),
+        (Distribution.BOUNDED_SUBGAUSSIAN, (100, 50, 0.05), "tuple", "1b6cf987d7ad4e8d"),
+        (Distribution.BOUNDED_SUBGAUSSIAN, (100, 50, 0.05), "spawned", "a87cf0f2e76d7a39"),
+    ],
 )
-def test_sparse_factor_is_the_generator_draw(dim, m, prob, dist, C_lb, seed):
-    F = gen_sparse_factor(dim, m, prob, dist, C_lb, seed)
+def test_sparse_factor_bytes_are_pinned(dist, shape, seed, want):
+    F = gen_sparse_factor(*shape, dist, 0.5, DIGEST_SEEDS[seed])
     assert F.flags.f_contiguous
-    assert F.tobytes() == sparse_factor_generator_draw(dim, m, prob, dist, C_lb, seed).tobytes()
+    assert digest(F) == want
+
+
+def test_dictionary_init_and_sample_bytes_are_pinned():
+    A = gen_dictionary(300, 50, child_seed(42, 0))
+    A0 = perturb_init(A, 0.5, child_seed(42, 1))
+    cfg = SolverConfig(n=300, J=100, K=100, m=50, alpha=0.01, beta=0.01)
+    sample, _ = SyntheticSource(cfg).instance(3)
+    assert A.flags.f_contiguous and A0.flags.f_contiguous and sample.Y.flags.f_contiguous
+    assert (digest(A), digest(A0)) == ("e180bc25c785bc30", "498a84ba5cfd9b2c")
+    assert sample.Y.shape == (300, 65)
+    assert (digest(sample.cmap.kept), digest(sample.Y)) == ("aa4847fb206ee0e3", "bbd89fccdbbb0204")
 
 
 @pytest.mark.parametrize("seed", [42, 2**70 + 5, (3, 1), child_seed(7, 3, 1)])
