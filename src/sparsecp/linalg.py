@@ -1,8 +1,10 @@
 """Dense float64 matrix kernel: validation, norms, rank-1 SVD.
 
-The rank-1 SVD is LAPACK's, run on the block of non-zero rows and
-columns, with a fixed sign convention so results do not depend on the
-routine.
+The rank-1 SVD of a block of non-zero rows and columns is the top
+eigenpair of its row Gram (one LAPACK eigh per distinct row count),
+with a fixed sign convention so results do not depend on the routine.
+rank1_blocks splits many blocks in one whole-array pass, each block's
+bits independent of the others; rank1_svd is that pass on one block.
 
 Matrices are plain numpy arrays of shape (rows, cols) in float64.
 as_matrix is the one validator (2-D, float64, finite; it returns a
@@ -25,6 +27,7 @@ __all__ = [
     "as_matrix",
     "column_norms",
     "normalize_columns",
+    "rank1_blocks",
     "rank1_svd",
 ]
 
@@ -83,32 +86,93 @@ class Rank1Svd:
     v1: np.ndarray
 
 
-def _fix_sign(u: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    # Convention: the largest-magnitude entry of u1 is nonnegative, ties
-    # broken by lowest index. Entries within a relative 1e-9 of max|u1|
-    # count as tied, so rounding in the SVD cannot pick the index.
-    a = np.abs(u)
-    idx = int(np.argmax(a >= (1.0 - 1e-9) * a.max()))
-    if u[idx] < 0.0:
-        return -u, -v
-    return u, v
+def _strided_dots(x, ij, step, n) -> np.ndarray:
+    """Return out[e] = sum over t < n[e] of x[i + t*s] * x[j + t*s].
 
-
-def _principal_triple(M: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
-    """Return (sigma1, u1, v1) of M by one LAPACK SVD, u1 signed by the convention.
-
-    M has no zero row or column; rank1_svd and untangle_codes build such
-    blocks.
+    (i, j) is ij[:, e] and s is step[e]. Each sum starts from +0.0 and
+    adds its products in order of t, one elementwise multiply-add per t
+    across all entries, so out[e] depends only on its own terms, never
+    on which other entries ride along.
     """
-    U, s, Vt = np.linalg.svd(M, full_matrices=False)
-    u, v = _fix_sign(U[:, 0], Vt[0])
-    return float(s[0]), u, v
+    order = np.argsort(-n, kind="stable")  # longest first: live entries are a prefix
+    ij, step = ij[:, order], step[order]
+    acc = np.zeros(n.size)
+    for k in np.searchsorted(-n[order], -np.arange(n.max(initial=0))).tolist():
+        pair = x[ij[:, :k]]
+        acc[:k] += pair[0] * pair[1]
+        ij[:, :k] += step[:k]
+    out = np.empty(n.size)
+    out[order] = acc
+    return out
+
+
+def rank1_blocks(
+    blocks: np.ndarray, nr: np.ndarray, nc: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Return (sigma1, u1, v1) of many small blocks in one whole-array pass.
+
+    Block b is nr[b] x nc[b] (both >= 1) with a non-zero entry, stored
+    column-major at blocks[off[b]:off[b] + nr[b]*nc[b]], where off is the
+    running sum of the sizes. sigma1 has one entry per block; u1 and v1
+    are the blocks' singular vectors concatenated in block order, u1
+    signed by the convention: the largest-magnitude entry is non-negative,
+    and entries within a relative 1e-9 of it count as tied, so the lowest
+    index wins and rounding cannot pick it.
+
+    Each block M is scaled by its largest |entry|, so its row Gram
+    M M^T neither overflows nor underflows. The Gram is summed one block
+    column at a time, and one eigh per distinct row count gives the top
+    eigenpair (lambda, u1), with sigma1 = sqrt(lambda) * scale. Then
+    v1 = M^T u1 / sigma1 is summed one block row at a time. Every sum is
+    an elementwise multiply-add in a fixed order, so a block's bits do
+    not depend on the other blocks it is split with. Memory is
+    O(sum of nr*nc + nr*nr); no block is padded to another's shape.
+    """
+    size = nr * nc
+    off = np.cumsum(size) - size
+    scale = np.maximum.reduceat(np.abs(blocks), off)
+    M = blocks / np.repeat(scale, size)
+    # Grams and u1 are laid out by increasing row count, so each eigh
+    # group is one slice; upos[b] is where block b's u1 starts there
+    order = np.argsort(nr, kind="stable")
+    ns = nr[order]
+    ustart = np.cumsum(ns) - ns
+    upos = np.empty_like(ustart)
+    upos[order] = ustart
+    gsize = ns * ns
+    gb = np.repeat(order, gsize)  # Gram entry (b, r1, r2) walks rows r1, r2 of block b
+    local = np.arange(gsize.sum()) - np.repeat(np.cumsum(gsize) - gsize, gsize)
+    r1, r2 = np.divmod(local, nr[gb])
+    gram = _strided_dots(M, off[gb] + np.stack([r1, r2]), nr[gb], nc[gb])
+    counts = np.bincount(ns)
+    lam, top, start = [np.empty(0)], [np.empty(0)], 0  # no blocks: empty results
+    for n in np.flatnonzero(counts).tolist():
+        stop = start + int(counts[n]) * n * n
+        w, Q = np.linalg.eigh(gram[start:stop].reshape(-1, n, n))
+        lam.append(w[:, -1])
+        top.append(Q[:, :, -1].ravel())
+        start = stop
+    u = np.concatenate(top)
+    ub = np.repeat(np.arange(nr.size), ns)
+    a = np.abs(u)
+    tied = a >= (1.0 - 1e-9) * np.maximum.reduceat(a, ustart)[ub]
+    first = np.minimum.reduceat(np.where(tied, np.arange(u.size), u.size), ustart)
+    u *= np.where(u[first] < 0.0, -1.0, 1.0)[ub]
+    sigma = np.empty(nr.size)
+    sigma[order] = np.sqrt(np.concatenate(lam))
+    # v1 entry (b, c) walks column c of block b against u1 of block b
+    vb = np.repeat(np.arange(nr.size), nc)
+    c = np.arange(nc.sum()) - (np.cumsum(nc) - nc)[vb]
+    ij = np.stack([off[vb] + c * nr[vb], M.size + upos[vb]])
+    v = _strided_dots(np.concatenate([M, u]), ij, np.ones_like(vb), nr[vb])
+    u = u[np.repeat(upos - (np.cumsum(nr) - nr), nr) + np.arange(u.size)]
+    return sigma * scale, u, v / sigma[vb]
 
 
 def rank1_svd(M: np.ndarray) -> Rank1Svd:
-    """Return the principal singular triple of the float64 matrix M by a LAPACK SVD.
+    """Return the principal singular triple of the float64 matrix M.
 
-    The SVD runs on the block of non-zero rows and columns only, so u1
+    rank1_blocks splits the block of non-zero rows and columns only, so u1
     and v1 are exactly zero outside it and the cost follows the support,
     not the full shape. An all-zero matrix returns sigma1 = 0 with
     u1 = e1, v1 = e1 by convention.
@@ -122,5 +186,7 @@ def rank1_svd(M: np.ndarray) -> Rank1Svd:
         v[0] = 1.0
         return Rank1Svd(0.0, u, v)
     cols = np.flatnonzero(M[rows].any(axis=0))
-    sigma1, u[rows], v[cols] = _principal_triple(M[np.ix_(rows, cols)])
-    return Rank1Svd(sigma1, u, v)
+    block = M[np.ix_(rows, cols)].ravel(order="F")
+    nr, nc = np.array([rows.size]), np.array([cols.size])
+    sigma1, u[rows], v[cols] = rank1_blocks(block, nr, nc)
+    return Rank1Svd(float(sigma1[0]), u, v)

@@ -71,24 +71,34 @@ def match_columns(A, A_ref) -> Alignment:
     Pairs are taken best-first; exact score ties break toward the lowest
     (reference, estimate) index pair. Callers normalize sparse factors
     before matching.
+
+    When every reference column's best estimate picks that column back
+    and every row and column of scores has a unique maximum, the walk
+    provably takes exactly those mutual-best pairs, so they are returned
+    without sorting the m^2 scores; otherwise the walk runs.
     """
     _same_shape(A, A_ref)
     m = A.shape[1]
     G = A.T @ A_ref  # G[i, j] = <A_i, A_ref_j>
     score = np.abs(G)
-    # score.T flattens as j*m + i, so a stable sort breaks ties by j, then i
-    j_order, i_order = np.divmod(np.argsort(-score.T.ravel(), kind="stable"), m)
-    perm = [-1] * m
-    used = [False] * m
-    left = m
-    for j, i in zip(j_order.tolist(), i_order.tolist()):
-        if perm[j] < 0 and not used[i]:
-            perm[j] = i
-            used[i] = True
-            left -= 1
-            if not left:
-                break
     cols = np.arange(m)
+    perm = score.argmax(axis=0)  # each reference column's best estimate
+    unique = ((score == score.max(axis=0)).sum(axis=0) == 1).all() and (
+        (score == score.max(axis=1, keepdims=True)).sum(axis=1) == 1
+    ).all()
+    if not (unique and np.array_equal(score.argmax(axis=1)[perm], cols)):
+        # score.T flattens as j*m + i, so a stable sort breaks ties by j, then i
+        j_order, i_order = np.divmod(np.argsort(-score.T.ravel(), kind="stable"), m)
+        perm = [-1] * m
+        used = [False] * m
+        left = m
+        for j, i in zip(j_order.tolist(), i_order.tolist()):
+            if perm[j] < 0 and not used[i]:
+                perm[j] = i
+                used[i] = True
+                left -= 1
+                if not left:
+                    break
     return Alignment(perm, np.where(G[perm, cols] < 0.0, -1.0, 1.0), score[perm, cols])
 
 

@@ -149,8 +149,8 @@ def cp_fibers(A, B, C) -> FiberSample:
     column-major and the sample takes them without a copy.
     """
     J, K = B.shape[0], C.shape[0]
-    rb, jb = np.nonzero(B.T)
-    rc, kc = np.nonzero(C.T)
+    rb, jb = np.divmod(np.flatnonzero(B.T), J)
+    rc, kc = np.divmod(np.flatnonzero(C.T), K)
     nb = np.bincount(rb, minlength=A.shape[1])  # B entries per atom
     reps = nb[rc]  # pairs each C entry makes
     # pair q of C entry e takes B entry q - (e's first pair) + (its atom's first B entry)

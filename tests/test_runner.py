@@ -536,14 +536,14 @@ def test_untangle_failure_names_iteration(monkeypatch):
     seen = []
     draw = source.instance
     source.instance = lambda t: seen.append(t) or draw(t)
-    principal_triple = untangle._principal_triple  # the SVD of each code row's block
+    rank1_blocks = untangle.rank1_blocks  # the split of every code row's block
 
-    def failing(M):
+    def failing(*blocks):
         if seen[-1] == 2:
             raise np.linalg.LinAlgError("SVD did not converge")
-        return principal_triple(M)
+        return rank1_blocks(*blocks)
 
-    monkeypatch.setattr(untangle, "_principal_triple", failing)
+    monkeypatch.setattr(untangle, "rank1_blocks", failing)
     with pytest.raises(RuntimeError, match="Untangle failed at iteration 2: SVD did not") as err:
         run_online(cfg, source=source)
     assert isinstance(err.value.__cause__, np.linalg.LinAlgError)
@@ -603,10 +603,10 @@ def test_file_run_untangle_failure_names_last_iteration(monkeypatch):
     cfg = cfg_small(T_max=10)
     samples = near_start_tensors(cfg, 3)
 
-    def failing(M):
+    def failing(*blocks):
         raise np.linalg.LinAlgError("SVD did not converge")
 
-    monkeypatch.setattr(untangle, "_principal_triple", failing)
+    monkeypatch.setattr(untangle, "rank1_blocks", failing)
     with pytest.raises(RuntimeError, match="Untangle failed at iteration 2: SVD did not") as err:
         run_online(cfg, FileSource(cfg, samples))
     assert isinstance(err.value.__cause__, np.linalg.LinAlgError)

@@ -121,3 +121,65 @@ def test_untangle_codes_matches_full_row_split():
             s = np.sqrt(svd.sigma1)
             assert np.array_equal(out.B[:, i], s * svd.u1)
             assert np.array_equal(out.C[:, i], s * svd.v1)
+
+
+def codes_with_blocks(shapes, J, K, seed):
+    """Return a len(shapes) x JK code matrix whose row i is non-zero on a
+    random block of shape shapes[i] (and all-zero for shape (0, 0))."""
+    rng = np.random.default_rng(seed)
+    S = np.zeros((len(shapes), J * K))
+    for i, (nr, nc) in enumerate(shapes):
+        M = np.zeros((J, K))
+        rows = rng.choice(J, nr, replace=False)
+        cols = rng.choice(K, nc, replace=False)
+        signs = rng.choice([-1.0, 1.0], (nr, nc))
+        M[np.ix_(rows, cols)] = signs * rng.uniform(0.1, 2.0, (nr, nc))
+        S[i] = M.T.ravel()  # S[i, k*J + j] = M[j, k]
+    return S
+
+
+def test_untangle_rows_split_alone_equal_the_whole_split():
+    shapes = [(1, 1), (1, 9), (12, 1), (3, 3), (0, 0), (1, 1), (16, 2)]
+    shapes += [(12, 9), (9, 14), (1, 14), (16, 14)]
+    for seed in range(4):
+        S = codes_with_blocks(shapes, J=16, K=14, seed=seed)
+        whole = untangle_krp(S, J=16, K=14)
+        assert whole.degenerate_rows == (4,)
+        for i in range(len(shapes)):
+            alone = untangle_krp(S[i:i + 1], J=16, K=14)
+            assert np.array_equal(alone.B[:, 0], whole.B[:, i])
+            assert np.array_equal(alone.C[:, 0], whole.C[:, i])
+
+
+@pytest.mark.parametrize("scale", [1e150, 1e-150])
+def test_rank1_split_scales_past_overflow_and_underflow(scale):
+    # entries reach 1e+-160, whose squares overflow to inf or underflow to
+    # subnormals: each block is scaled by its largest entry before its Gram
+    rng = np.random.default_rng(6)
+    for base in (1e-10, 1.0, 1e10):
+        M = base * rng.standard_normal((4, 6))
+        want = rank1_svd(M)
+        got = rank1_svd(scale * M)
+        assert got.sigma1 == pytest.approx(scale * want.sigma1, rel=1e-12)
+        assert np.allclose(got.u1, want.u1, rtol=0.0, atol=1e-12)
+        assert np.allclose(got.v1, want.v1, rtol=0.0, atol=1e-12)
+        out = untangle_krp(scale * M.T.reshape(1, -1), J=4, K=6)
+        split = np.linalg.norm(out.B[:, 0]) * np.linalg.norm(out.C[:, 0])
+        assert split == pytest.approx(scale * want.sigma1, rel=1e-12)
+
+
+def test_rank1_split_of_a_repeated_top_singular_value():
+    # sigma1 = sigma2: any unit vector of the top space is a valid u1, and
+    # the residual contract of rank1_svd must still hold
+    Q, _ = np.linalg.qr(np.random.default_rng(2).standard_normal((3, 3)))
+    blocks = (np.eye(2), 3.0 * Q, np.diag([2.0, 2.0, 1.0]), np.kron(np.eye(2), [[1.0, -1.0]]))
+    for M in blocks:
+        out = rank1_svd(M)
+        assert out.sigma1 == pytest.approx(np.linalg.svd(M, compute_uv=False)[0], rel=1e-12)
+        assert np.linalg.norm(out.u1) == pytest.approx(1.0, rel=1e-12)
+        assert np.linalg.norm(out.v1) == pytest.approx(1.0, rel=1e-12)
+        bound = 1e-12 * max(1.0, out.sigma1)
+        assert np.linalg.norm(M @ out.v1 - out.sigma1 * out.u1) <= bound
+        assert np.linalg.norm(M.T @ out.u1 - out.sigma1 * out.v1) <= bound
+        a = np.abs(out.u1)
+        assert out.u1[np.argmax(a >= (1.0 - 1e-9) * a.max())] >= 0.0
