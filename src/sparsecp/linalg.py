@@ -1,8 +1,9 @@
 """Dense float64 matrix kernel: validation, norms, rank-1 SVD.
 
 The rank-1 SVD of a block of non-zero rows and columns is the top
-eigenpair of its row Gram (one LAPACK eigh per distinct row count),
-with a fixed sign convention so results do not depend on the routine.
+eigenpair of its Gram on its short side (one LAPACK eigh per distinct
+short side), with a fixed sign convention so results do not depend on
+the routine.
 rank1_blocks splits many blocks in one whole-array pass, each block's
 bits independent of the others; rank1_svd is that pass on one block.
 
@@ -87,20 +88,20 @@ class Rank1Svd:
 
 
 def _strided_dots(x, ij, step, n) -> np.ndarray:
-    """Return out[e] = sum over t < n[e] of x[i + t*s] * x[j + t*s].
+    """Return out[e] = sum over t < n[e] of x[i + t*s] * x[j + t*r].
 
-    (i, j) is ij[:, e] and s is step[e]. Each sum starts from +0.0 and
-    adds its products in order of t, one elementwise multiply-add per t
-    across all entries, so out[e] depends only on its own terms, never
-    on which other entries ride along.
+    (i, j) is ij[:, e] and (s, r) is step[:, e]. Each sum starts from
+    +0.0 and adds its products in order of t, one elementwise multiply-add
+    per t across all entries, so out[e] depends only on its own terms,
+    never on which other entries ride along.
     """
     order = np.argsort(-n, kind="stable")  # longest first: live entries are a prefix
-    ij, step = ij[:, order], step[order]
+    ij, step = ij[:, order], step[:, order]
     acc = np.zeros(n.size)
     for k in np.searchsorted(-n[order], -np.arange(n.max(initial=0))).tolist():
         pair = x[ij[:, :k]]
         acc[:k] += pair[0] * pair[1]
-        ij[:, :k] += step[:k]
+        ij[:, :k] += step[:, :k]
     out = np.empty(n.size)
     out[order] = acc
     return out
@@ -119,32 +120,39 @@ def rank1_blocks(
     and entries within a relative 1e-9 of it count as tied, so the lowest
     index wins and rounding cannot pick it.
 
-    Each block M is scaled by its largest |entry|, so its row Gram
-    M M^T neither overflows nor underflows. The Gram is summed one block
-    column at a time, and one eigh per distinct row count gives the top
-    eigenpair (lambda, u1), with sigma1 = sqrt(lambda) * scale. Then
-    v1 = M^T u1 / sigma1 is summed one block row at a time. Every sum is
-    an elementwise multiply-add in a fixed order, so a block's bits do
-    not depend on the other blocks it is split with. Memory is
-    O(sum of nr*nc + nr*nr); no block is padded to another's shape.
+    Each block M is scaled by its largest |entry|, so its Gram neither
+    overflows nor underflows. The Gram is taken on the block's short
+    side: M M^T summed one block column at a time, or M^T M summed one
+    block row at a time when the block has more rows than columns. One
+    eigh per distinct short side gives the top eigenpair (lambda, x),
+    with sigma1 = sqrt(lambda) * scale, and the long side's vector
+    (M^T x or M x) / sqrt(lambda) is summed one short-side index at a
+    time. Every sum is an elementwise multiply-add in a fixed order, so a
+    block's bits do not depend on the other blocks it is split with.
+    Memory is O(sum of nr*nc): a Gram has min(nr, nc)^2 entries, and no
+    block is padded to another's shape.
     """
     size = nr * nc
     off = np.cumsum(size) - size
     scale = np.maximum.reduceat(np.abs(blocks), off)
     M = blocks / np.repeat(scale, size)
-    # Grams and u1 are laid out by increasing row count, so each eigh
-    # group is one slice; upos[b] is where block b's u1 starts there
-    order = np.argsort(nr, kind="stable")
-    ns = nr[order]
-    ustart = np.cumsum(ns) - ns
-    upos = np.empty_like(ustart)
-    upos[order] = ustart
-    gsize = ns * ns
-    gb = np.repeat(order, gsize)  # Gram entry (b, r1, r2) walks rows r1, r2 of block b
+    # a block's short side has ns entries, at stride ss in its column-major
+    # storage; its long side has nl entries, at stride sl
+    tall = nr > nc
+    ns, nl = np.where(tall, nc, nr), np.where(tall, nr, nc)
+    ss, sl = np.where(tall, nr, 1), np.where(tall, 1, nr)
+    # Grams and short vectors x are laid out by increasing short side, so
+    # each eigh group is one slice; xpos[b] is where block b's x starts there
+    order = np.argsort(ns, kind="stable")
+    n_sorted = ns[order]
+    xpos = np.empty_like(order)
+    xpos[order] = np.cumsum(n_sorted) - n_sorted
+    gsize = n_sorted * n_sorted
+    gb = np.repeat(order, gsize)  # Gram entry (b, a1, a2) pairs short indices a1, a2 of block b
     local = np.arange(gsize.sum()) - np.repeat(np.cumsum(gsize) - gsize, gsize)
-    r1, r2 = np.divmod(local, nr[gb])
-    gram = _strided_dots(M, off[gb] + np.stack([r1, r2]), nr[gb], nc[gb])
-    counts = np.bincount(ns)
+    a = np.stack(np.divmod(local, ns[gb]))
+    gram = _strided_dots(M, off[gb] + a * ss[gb], np.stack([sl[gb], sl[gb]]), nl[gb])
+    counts = np.bincount(n_sorted)
     lam, top, start = [np.empty(0)], [np.empty(0)], 0  # no blocks: empty results
     for n in np.flatnonzero(counts).tolist():
         stop = start + int(counts[n]) * n * n
@@ -152,21 +160,28 @@ def rank1_blocks(
         lam.append(w[:, -1])
         top.append(Q[:, :, -1].ravel())
         start = stop
-    u = np.concatenate(top)
-    ub = np.repeat(np.arange(nr.size), ns)
-    a = np.abs(u)
-    tied = a >= (1.0 - 1e-9) * np.maximum.reduceat(a, ustart)[ub]
-    first = np.minimum.reduceat(np.where(tied, np.arange(u.size), u.size), ustart)
-    u *= np.where(u[first] < 0.0, -1.0, 1.0)[ub]
+    x = np.concatenate(top)
     sigma = np.empty(nr.size)
     sigma[order] = np.sqrt(np.concatenate(lam))
-    # v1 entry (b, c) walks column c of block b against u1 of block b
-    vb = np.repeat(np.arange(nr.size), nc)
-    c = np.arange(nc.sum()) - (np.cumsum(nc) - nc)[vb]
-    ij = np.stack([off[vb] + c * nr[vb], M.size + upos[vb]])
-    v = _strided_dots(np.concatenate([M, u]), ij, np.ones_like(vb), nr[vb])
-    u = u[np.repeat(upos - (np.cumsum(nr) - nr), nr) + np.arange(u.size)]
-    return sigma * scale, u, v / sigma[vb]
+    # y entry (b, t) walks long index t of block b against x of block b
+    yb = np.repeat(np.arange(nr.size), nl)
+    ystart = np.cumsum(nl) - nl
+    t = np.arange(yb.size) - ystart[yb]
+    ij = np.stack([off[yb] + t * sl[yb], M.size + xpos[yb]])
+    step = np.stack([ss[yb], np.ones_like(yb)])
+    y = _strided_dots(np.concatenate([M, x]), ij, step, ns[yb]) / sigma[yb]
+    # u1 is y on tall blocks and x on the others, v1 the other one
+    xy = np.concatenate([x, y])
+    ystart += x.size
+    ub, vb = np.repeat(np.arange(nr.size), nr), np.repeat(np.arange(nr.size), nc)
+    ustart, vstart = np.cumsum(nr) - nr, np.cumsum(nc) - nc
+    u = xy[np.where(tall, ystart, xpos)[ub] + np.arange(ub.size) - ustart[ub]]
+    v = xy[np.where(tall, xpos, ystart)[vb] + np.arange(vb.size) - vstart[vb]]
+    mag = np.abs(u)
+    tied = mag >= (1.0 - 1e-9) * np.maximum.reduceat(mag, ustart)[ub]
+    first = np.minimum.reduceat(np.where(tied, np.arange(u.size), u.size), ustart)
+    sign = np.where(u[first] < 0.0, -1.0, 1.0)
+    return sigma * scale, u * sign[ub], v * sign[vb]
 
 
 def rank1_svd(M: np.ndarray) -> Rank1Svd:

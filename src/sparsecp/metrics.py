@@ -72,10 +72,12 @@ def match_columns(A, A_ref) -> Alignment:
     (reference, estimate) index pair. Callers normalize sparse factors
     before matching.
 
-    When every reference column's best estimate picks that column back
-    and every row and column of scores has a unique maximum, the walk
-    provably takes exactly those mutual-best pairs, so they are returned
-    without sorting the m^2 scores; otherwise the walk runs.
+    When every reference column's best estimate (its first maximum) is a
+    different estimate, those pairs are returned without sorting the m^2
+    scores: the walk's next pair is always the best remaining score,
+    lowest j then i on ties, which is some column's first maximum, and
+    taking it leaves every other column's first maximum in place.
+    Otherwise the walk runs.
     """
     _same_shape(A, A_ref)
     m = A.shape[1]
@@ -83,10 +85,7 @@ def match_columns(A, A_ref) -> Alignment:
     score = np.abs(G)
     cols = np.arange(m)
     perm = score.argmax(axis=0)  # each reference column's best estimate
-    unique = ((score == score.max(axis=0)).sum(axis=0) == 1).all() and (
-        (score == score.max(axis=1, keepdims=True)).sum(axis=1) == 1
-    ).all()
-    if not (unique and np.array_equal(score.argmax(axis=1)[perm], cols)):
+    if not np.bincount(perm, minlength=m).all():
         # score.T flattens as j*m + i, so a stable sort breaks ties by j, then i
         j_order, i_order = np.divmod(np.argsort(-score.T.ravel(), kind="stable"), m)
         perm = [-1] * m

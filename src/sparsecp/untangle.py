@@ -7,8 +7,8 @@ C_i = sqrt(sigma1) v1. The triple comes from the block of rows j and
 columns k where code row i is non-zero, built straight from the m x p
 codes (the block rank1_svd would cut from M, bit for bit), so B_i and
 C_i are exactly zero off that block. linalg.rank1_blocks splits every
-row's block in one whole-array pass: a row Gram summed column by
-column, one eigh per distinct block row count, and no loop over rows.
+row's block in one whole-array pass: a Gram on each block's short
+side, one eigh per distinct short side, and no loop over rows.
 untangle_codes takes the loop's float64 codes as given; untangle_krp,
 the public dense entry point, validates its matrix first.
 """

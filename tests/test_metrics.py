@@ -109,14 +109,9 @@ def test_match_equals_lexsort_oracle_on_signed_permutations(n, m, noise, seed):
     assert_same_alignment(match_columns(A, A_ref), match_columns_lexsort(A, A_ref))
 
 
-def mutual_bests_are_unique(A, A_ref) -> bool:
-    score = np.abs(A.T @ A_ref)
-    best = score.argmax(axis=0)
-    return bool(
-        np.array_equal(score.argmax(axis=1)[best], np.arange(score.shape[1]))
-        and ((score == score.max(axis=0)).sum(axis=0) == 1).all()
-        and ((score == score.max(axis=1, keepdims=True)).sum(axis=1) == 1).all()
-    )
+def column_bests_are_a_bijection(A, A_ref) -> bool:
+    best = np.abs(A.T @ A_ref).argmax(axis=0)
+    return bool(np.bincount(best, minlength=best.size).all())
 
 
 def test_match_shared_best_reference_falls_back_to_the_walk():
@@ -124,17 +119,24 @@ def test_match_shared_best_reference_falls_back_to_the_walk():
     # column-wise bests [0, 0, 2] are no bijection; the walk gives 1 to
     # reference 1
     A = np.array([[0.9, 0.8, 0.1], [0.4, 0.1, 0.3], [0.1, 0.5, 0.95]])
-    assert not mutual_bests_are_unique(A, np.eye(3))
+    assert not column_bests_are_a_bijection(A, np.eye(3))
     al = match_columns(A, np.eye(3))
     assert np.array_equal(al.perm, [0, 1, 2])
     assert_same_alignment(al, match_columns_lexsort(A, np.eye(3)))
 
 
 def test_match_tied_row_best_falls_back_to_the_walk():
-    # the mutual bests are a bijection, but estimate 0 scores 0.7 against
-    # references 0 and 1 alike: the tie goes to the lowest reference
-    A = np.array([[0.7, 0.1, 0.1], [-0.7, 0.8, 0.2], [0.0, 0.2, 0.9]])
-    assert not mutual_bests_are_unique(A, np.eye(3))
+    # estimate 0 scores 0.7 against references 0 and 1 alike and is the
+    # best of both: the walk gives it to the lowest reference, 0
+    A = np.array([[0.7, 0.1, 0.1], [-0.7, 0.5, 0.2], [0.0, 0.2, 0.9]])
+    assert not column_bests_are_a_bijection(A, np.eye(3))
+    al = match_columns(A, np.eye(3))
+    assert np.array_equal(al.perm, [0, 1, 2])
+    assert_same_alignment(al, match_columns_lexsort(A, np.eye(3)))
+    # the same tie when reference 1 prefers estimate 1: the bests are a
+    # bijection, and the walk takes exactly those pairs
+    A[1, 1] = 0.8
+    assert column_bests_are_a_bijection(A, np.eye(3))
     assert_same_alignment(match_columns(A, np.eye(3)), match_columns_lexsort(A, np.eye(3)))
 
 
@@ -148,9 +150,9 @@ def test_match_duplicate_columns_fall_back_to_the_walk():
     ref_dup = A_ref.copy()
     ref_dup[:, 0] = A_ref[:, 1]  # estimate 1 now has two equal best references
     for est, ref in ((A_dup, A_ref), (A, ref_dup)):
-        assert not mutual_bests_are_unique(est, ref)
+        assert not column_bests_are_a_bijection(est, ref)
         assert_same_alignment(match_columns(est, ref), match_columns_lexsort(est, ref))
-    assert mutual_bests_are_unique(A, A_ref)
+    assert column_bests_are_a_bijection(A, A_ref)
     assert_same_alignment(match_columns(A, A_ref), match_columns_lexsort(A, A_ref))
 
 

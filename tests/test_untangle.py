@@ -140,15 +140,37 @@ def codes_with_blocks(shapes, J, K, seed):
 
 def test_untangle_rows_split_alone_equal_the_whole_split():
     shapes = [(1, 1), (1, 9), (12, 1), (3, 3), (0, 0), (1, 1), (16, 2)]
-    shapes += [(12, 9), (9, 14), (1, 14), (16, 14)]
+    shapes += [(12, 9), (9, 14), (1, 14), (16, 14), (200, 1), (150, 3)]
     for seed in range(4):
-        S = codes_with_blocks(shapes, J=16, K=14, seed=seed)
-        whole = untangle_krp(S, J=16, K=14)
+        S = codes_with_blocks(shapes, J=200, K=14, seed=seed)
+        whole = untangle_krp(S, J=200, K=14)
         assert whole.degenerate_rows == (4,)
         for i in range(len(shapes)):
-            alone = untangle_krp(S[i:i + 1], J=16, K=14)
+            alone = untangle_krp(S[i:i + 1], J=200, K=14)
             assert np.array_equal(alone.B[:, 0], whole.B[:, i])
             assert np.array_equal(alone.C[:, 0], whole.C[:, i])
+
+
+@pytest.mark.parametrize("shape", [(5000, 3), (3, 5000)])
+def test_rank1_split_of_a_long_block_takes_its_short_side_gram(shape, monkeypatch):
+    # a Gram on the long side would be 5000 x 5000; the short side's is 3 x 3
+    grams = []
+    eigh = np.linalg.eigh
+
+    def spy(a):
+        grams.append(a.shape)
+        return eigh(a)
+
+    monkeypatch.setattr(np.linalg, "eigh", spy)
+    M = np.random.default_rng(8).standard_normal(shape)
+    out = rank1_svd(M)
+    assert grams == [(1, 3, 3)]
+    assert out.sigma1 == pytest.approx(np.linalg.svd(M, compute_uv=False)[0], rel=1e-12)
+    bound = 1e-12 * out.sigma1
+    assert np.linalg.norm(M @ out.v1 - out.sigma1 * out.u1) <= bound
+    assert np.linalg.norm(M.T @ out.u1 - out.sigma1 * out.v1) <= bound
+    a = np.abs(out.u1)
+    assert out.u1[np.argmax(a >= (1.0 - 1e-9) * a.max())] >= 0.0
 
 
 @pytest.mark.parametrize("scale", [1e150, 1e-150])
