@@ -4,11 +4,14 @@ The rank-1 SVD of a block of non-zero rows and columns is the top
 eigenpair of its Gram on its short side (one LAPACK eigh per distinct
 short side), with a fixed sign convention so results do not depend on
 the routine.
-rank1_blocks splits many blocks in one whole-array pass, each block's
-bits independent of the others; rank1_svd is that pass on one block.
+rank1_blocks splits many blocks in one whole-array pass of np.bincount
+sums in storage order, one Gram step per index of the largest short
+side, so each block's bits are independent of the others; rank1_svd is
+that pass on one block.
 
 Matrices are plain numpy arrays of shape (rows, cols) in float64.
 as_matrix is the one validator (2-D, float64, finite; it returns a
+column-major float64 array itself, uncopied, and any other input as a
 column-major copy) and runs where inputs enter the package: samples,
 files, the initial dictionary and the dense reference helpers. The
 kernels here and in the online loop take float64 arrays as given, in
@@ -50,7 +53,10 @@ class CollapsedColumnError(ValueError):
 
 
 def as_matrix(values, rows: int | None = None, cols: int | None = None) -> np.ndarray:
-    """Return values as a finite float64 2-D array in column-major order."""
+    """Return values as a finite float64 2-D array in column-major order.
+
+    A float64 column-major array passes its checks and comes back uncopied.
+    """
     a = np.asfortranarray(values, dtype=np.float64)
     if a.ndim != 2:
         raise ValueError(f"Expected a 2-D matrix, got ndim={a.ndim}")
@@ -87,26 +93,6 @@ class Rank1Svd:
     v1: np.ndarray
 
 
-def _strided_dots(x, ij, step, n) -> np.ndarray:
-    """Return out[e] = sum over t < n[e] of x[i + t*s] * x[j + t*r].
-
-    (i, j) is ij[:, e] and (s, r) is step[:, e]. Each sum starts from
-    +0.0 and adds its products in order of t, one elementwise multiply-add
-    per t across all entries, so out[e] depends only on its own terms,
-    never on which other entries ride along.
-    """
-    order = np.argsort(-n, kind="stable")  # longest first: live entries are a prefix
-    ij, step = ij[:, order], step[:, order]
-    acc = np.zeros(n.size)
-    for k in np.searchsorted(-n[order], -np.arange(n.max(initial=0))).tolist():
-        pair = x[ij[:, :k]]
-        acc[:k] += pair[0] * pair[1]
-        ij[:, :k] += step[:, :k]
-    out = np.empty(n.size)
-    out[order] = acc
-    return out
-
-
 def rank1_blocks(
     blocks: np.ndarray, nr: np.ndarray, nc: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -122,66 +108,77 @@ def rank1_blocks(
 
     Each block M is scaled by its largest |entry|, so its Gram neither
     overflows nor underflows. The Gram is taken on the block's short
-    side: M M^T summed one block column at a time, or M^T M summed one
-    block row at a time when the block has more rows than columns. One
+    side: M M^T, or M^T M when the block has more rows than columns. One
     eigh per distinct short side gives the top eigenpair (lambda, x),
-    with sigma1 = sqrt(lambda) * scale, and the long side's vector
-    (M^T x or M x) / sqrt(lambda) is summed one short-side index at a
-    time. Every sum is an elementwise multiply-add in a fixed order, so a
-    block's bits do not depend on the other blocks it is split with.
-    Memory is O(sum of nr*nc): a Gram has min(nr, nc)^2 entries, and no
-    block is padded to another's shape.
+    with sigma1 = sqrt(lambda) * scale, and the long side's vector is
+    (M^T x or M x) / sqrt(lambda). Both sums are np.bincount calls over
+    the blocks' entries in storage order, so each sum starts from +0.0
+    and adds its terms in index order, and a block's bits do not depend
+    on the other blocks it is split with. The Gram is summed one row a1
+    at a time, a loop over the largest short side: step a1 pairs every
+    entry (a2, t) with (a1, t). Memory is O(sum of nr*nc): a Gram has
+    min(nr, nc)^2 entries, and no block is padded to another's shape.
     """
     size = nr * nc
     off = np.cumsum(size) - size
     scale = np.maximum.reduceat(np.abs(blocks), off)
-    M = blocks / np.repeat(scale, size)
-    # a block's short side has ns entries, at stride ss in its column-major
-    # storage; its long side has nl entries, at stride sl
     tall = nr > nc
     ns, nl = np.where(tall, nc, nr), np.where(tall, nr, nc)
-    ss, sl = np.where(tall, nr, 1), np.where(tall, 1, nr)
-    # Grams and short vectors x are laid out by increasing short side, so
-    # each eigh group is one slice; xpos[b] is where block b's x starts there
-    order = np.argsort(ns, kind="stable")
-    n_sorted = ns[order]
-    xpos = np.empty_like(order)
-    xpos[order] = np.cumsum(n_sorted) - n_sorted
-    gsize = n_sorted * n_sorted
-    gb = np.repeat(order, gsize)  # Gram entry (b, a1, a2) pairs short indices a1, a2 of block b
-    local = np.arange(gsize.sum()) - np.repeat(np.cumsum(gsize) - gsize, gsize)
-    a = np.stack(np.divmod(local, ns[gb]))
-    gram = _strided_dots(M, off[gb] + a * ss[gb], np.stack([sl[gb], sl[gb]]), nl[gb])
-    counts = np.bincount(n_sorted)
-    lam, top, start = [np.empty(0)], [np.empty(0)], 0  # no blocks: empty results
-    for n in np.flatnonzero(counts).tolist():
-        stop = start + int(counts[n]) * n * n
-        w, Q = np.linalg.eigh(gram[start:stop].reshape(-1, n, n))
-        lam.append(w[:, -1])
-        top.append(Q[:, :, -1].ravel())
-        start = stop
+    # entries, Grams and the short and long vectors x and y are laid out
+    # block by block, blocks by short side, longest first, so the blocks a
+    # Gram step reaches are a prefix; *pos[b] is where block b starts
+    order = np.argsort(-ns, kind="stable")
+    ends = [np.cumsum(n[order]) for n in (size, ns, nl)]
+    epos, xpos, ypos = (np.empty_like(order) for _ in ends)
+    for pos, end, n in zip((epos, xpos, ypos), ends, (size, ns, nl)):
+        pos[order] = end - n[order]
+    b = np.repeat(order, size[order])  # the block of each laid-out entry
+    e = np.arange(b.size) - epos[b]  # its place in the block's storage
+    M = blocks[off[b] + e] / scale[b]
+    c, r = np.divmod(e, nr[b])
+    a, t = np.where(tall[b], c, r), np.where(tall[b], r, c)  # short, long index
+    # step a1 sums M[a1, t] * M[a2, t] over t into row a1 of the Gram of
+    # each block it reaches; partner steps from entry (a1, t) to (a1 + 1, t)
+    stride = np.where(tall, nr, 1)[b]
+    partner = np.arange(b.size) - a * stride
+    xbin = xpos[b] + a
+    n_laid = ns[order]
+    # reach[a1]: the blocks with short side above a1, so step a1 reaches them
+    reach = np.searchsorted(-n_laid, -np.arange(n_laid.max(initial=0) + 1))
+    ecut, gcut = (np.append(0, end)[reach[:-1]] for end in ends[:2])
+    rows = [np.empty(0)]  # no blocks: empty Gram
+    for k, g in zip(ecut.tolist(), gcut.tolist()):
+        rows.append(np.bincount(xbin[:k], M[:k] * M[partner[:k]], minlength=g))
+        partner[:k] += stride[:k]
+    gram = np.concatenate(rows)
+    rstart = np.cumsum(gcut) - gcut  # where step a1's rows start in gram
+    lam, top = [np.empty(0)], [np.empty(0)]  # no blocks: empty results
+    for n in range(reach.size - 1, 0, -1):
+        group = order[reach[n]:reach[n - 1]]  # the blocks with short side n
+        if group.size:
+            at = xpos[group, None, None] + rstart[:n, None] + np.arange(n)
+            w, Q = np.linalg.eigh(gram[at])
+            lam.append(w[:, -1])
+            top.append(Q[:, :, -1].ravel())
     x = np.concatenate(top)
-    sigma = np.empty(nr.size)
-    sigma[order] = np.sqrt(np.concatenate(lam))
-    # y entry (b, t) walks long index t of block b against x of block b
-    yb = np.repeat(np.arange(nr.size), nl)
-    ystart = np.cumsum(nl) - nl
-    t = np.arange(yb.size) - ystart[yb]
-    ij = np.stack([off[yb] + t * sl[yb], M.size + xpos[yb]])
-    step = np.stack([ss[yb], np.ones_like(yb)])
-    y = _strided_dots(np.concatenate([M, x]), ij, step, ns[yb]) / sigma[yb]
+    sigma = np.sqrt(np.concatenate(lam))
+    # y[t] sums M[a, t] * x[a] over a, in storage order
+    y = np.bincount(ypos[b] + t, M * x[xbin], minlength=nl.sum())
+    y = y / np.repeat(sigma, nl[order])
     # u1 is y on tall blocks and x on the others, v1 the other one
     xy = np.concatenate([x, y])
-    ystart += x.size
+    ypos += x.size
     ub, vb = np.repeat(np.arange(nr.size), nr), np.repeat(np.arange(nr.size), nc)
     ustart, vstart = np.cumsum(nr) - nr, np.cumsum(nc) - nc
-    u = xy[np.where(tall, ystart, xpos)[ub] + np.arange(ub.size) - ustart[ub]]
-    v = xy[np.where(tall, xpos, ystart)[vb] + np.arange(vb.size) - vstart[vb]]
+    u = xy[np.where(tall, ypos, xpos)[ub] + np.arange(ub.size) - ustart[ub]]
+    v = xy[np.where(tall, xpos, ypos)[vb] + np.arange(vb.size) - vstart[vb]]
     mag = np.abs(u)
     tied = mag >= (1.0 - 1e-9) * np.maximum.reduceat(mag, ustart)[ub]
     first = np.minimum.reduceat(np.where(tied, np.arange(u.size), u.size), ustart)
     sign = np.where(u[first] < 0.0, -1.0, 1.0)
-    return sigma * scale, u * sign[ub], v * sign[vb]
+    sigma1 = np.empty(nr.size)
+    sigma1[order] = sigma * scale[order]
+    return sigma1, u * sign[ub], v * sign[vb]
 
 
 def rank1_svd(M: np.ndarray) -> Rank1Svd:

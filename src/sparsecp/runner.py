@@ -418,7 +418,8 @@ def run_online(cfg: SolverConfig, source: TensorSource | None = None) -> RunResu
             else:
                 A_new = A  # no usable samples; skip the update, keep logging
             # all-zero codes give a zero gradient: no movement, but nothing learned
-            learned = g is not None and bool(Xh[:, sel].any())
+            used = Xh[:, sel].any(axis=1)  # the atoms the selected codes use
+            learned = g is not None and bool(used.any())
             idle += not learned
 
             stage = "Metrics"
@@ -438,7 +439,6 @@ def run_online(cfg: SolverConfig, source: TensorSource | None = None) -> RunResu
                 err_B_max = float(normalized_column_errors(unf.B, gt.B * shown, align).max())
                 err_C_max = float(normalized_column_errors(unf.C, gt.C * shown, align).max())
                 if g is not None:
-                    used = (Xh[:, sel] != 0.0).any(axis=1)
                     min_corr = _min_descent_correlation(g, A, gt.A, align, used, cfg.eps_T)
                 should_stop = err_A_max <= cfg.eps_T
             else:

@@ -8,6 +8,8 @@ form). The earlier loop and lexsort forms of match_columns and
 normalized_column_errors are kept as they were (on column_norms) to pin
 the whole-array ones to the same results, and the earlier 1-sparse
 closed-form rule to show that iht's certificate settles all its columns.
+scalar_rank1_blocks sums each block's Gram and vector in Python loops,
+pinning rank1_blocks' summation order bit for bit.
 The checks at the end (spectral_norm, incoherence, closeness_check,
 descent_correlation) are used by tests only; unlike the references, they
 are built on the package's public functions.
@@ -204,6 +206,50 @@ def nonzero_fibers(Z):
                 cols.append(Z[:, j, k])
     Y = np.column_stack(cols) if cols else np.zeros((n, 0))
     return np.array(kept, dtype=np.int64), Y
+
+
+def scalar_rank1_blocks(blocks, nr, nc):
+    """rank1_blocks one block at a time, its sums in plain Python loops.
+
+    Each block is scaled by its largest |entry|; its short-side Gram and
+    its long side's vector are summed from 0.0 in index order, one scalar
+    multiply-add at a time; one eigh per block gives the top eigenpair;
+    u1's largest entry (ties within a relative 1e-9 go to the lowest
+    index) is made non-negative, and v1 is flipped with it.
+    """
+    sigma1, u1, v1, off = [], [], [], 0
+    for r, c in zip(np.asarray(nr).tolist(), np.asarray(nc).tolist()):
+        block = np.asarray(blocks[off:off + r * c]).reshape(c, r).T
+        off += r * c
+        scale = float(np.abs(block).max())
+        M = (block / scale).tolist()
+        if r > c:  # the short side is the columns
+            M = [list(col) for col in zip(*M)]
+        ns, nl = len(M), len(M[0])
+        G = np.zeros((ns, ns))
+        for a1 in range(ns):
+            for a2 in range(ns):
+                acc = 0.0
+                for t in range(nl):
+                    acc += M[a1][t] * M[a2][t]
+                G[a1, a2] = acc
+        w, Q = np.linalg.eigh(G)
+        s = float(np.sqrt(w[-1]))
+        x = Q[:, -1].tolist()
+        y = []
+        for t in range(nl):
+            acc = 0.0
+            for a in range(ns):
+                acc += M[a][t] * x[a]
+            y.append(acc / s)
+        u, v = (np.array(y), np.array(x)) if r > c else (np.array(x), np.array(y))
+        mag = np.abs(u)
+        first = int(np.argmax(mag >= (1.0 - 1e-9) * mag.max()))
+        sign = -1.0 if u[first] < 0.0 else 1.0
+        sigma1.append(s * scale)
+        u1.append(u * sign)
+        v1.append(v * sign)
+    return np.array(sigma1), np.concatenate(u1 + [np.empty(0)]), np.concatenate(v1 + [np.empty(0)])
 
 
 def spectral_norm(M) -> float:

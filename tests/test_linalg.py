@@ -7,10 +7,11 @@ from sparsecp.linalg import (
     as_matrix,
     column_norms,
     normalize_columns,
+    rank1_blocks,
     rank1_svd,
 )
 
-from oracles import jacobi_sigma1, spectral_norm
+from oracles import jacobi_sigma1, scalar_rank1_blocks, spectral_norm
 
 
 # rank1_svd ---------------------------------------------------------------
@@ -112,6 +113,35 @@ def test_rank1_svd_recovers_planted_rank1(p, q, log_sigma, seed):
     assert min(np.linalg.norm(out.v1 - v), np.linalg.norm(out.v1 + v)) <= 1e-8
 
 
+def random_pack(rng, shapes):
+    """Column-major blocks of the given shapes, each with a non-zero entry;
+    some blocks carry zero entries, some are scaled by 1e+-150."""
+    parts = []
+    for r, c in shapes:
+        M = rng.standard_normal((r, c)) * 10.0 ** rng.choice([-150, 0, 0, 150])
+        M[rng.random((r, c)) < rng.choice([0.0, 0.4])] = 0.0
+        M[rng.integers(r), rng.integers(c)] = rng.choice([-1.0, 1.0])
+        parts.append(M.ravel(order="F"))
+    return np.concatenate(parts + [np.empty(0)])
+
+
+def test_rank1_blocks_sums_in_the_scalar_oracles_order():
+    # every sum starts from 0.0 and adds its terms in index order, so a
+    # block's bits equal a plain Python loop's whatever rides along with it
+    rng = np.random.default_rng(12)
+    fixed = [(1, 1), (1, 7), (6, 1), (9, 2), (2, 9), (5, 5), (12, 4), (3, 11)]
+    for pack in range(40):
+        shapes = [tuple(s) for s in rng.integers(1, 9, size=(int(rng.integers(0, 12)), 2))]
+        shapes += [fixed[i] for i in rng.permutation(len(fixed))[: pack % 5]]
+        nr = np.array([r for r, _ in shapes], dtype=np.int64)
+        nc = np.array([c for _, c in shapes], dtype=np.int64)
+        blocks = random_pack(rng, shapes)
+        got = rank1_blocks(blocks, nr, nc)
+        want = scalar_rank1_blocks(blocks, nr, nc)
+        for g, w in zip(got, want):
+            assert g.tobytes() == w.tobytes()
+
+
 # spectral_norm -----------------------------------------------------------
 
 
@@ -178,3 +208,12 @@ def test_as_matrix_rejects_non_finite():
 def test_as_matrix_checks_declared_shape():
     with pytest.raises(ValueError):
         as_matrix(np.ones((2, 3)), rows=3)
+
+
+def test_as_matrix_keeps_a_column_major_float64_array_and_copies_the_rest():
+    F = np.asfortranarray(np.arange(6.0).reshape(2, 3))
+    assert as_matrix(F) is F
+    C = np.arange(6.0).reshape(2, 3)
+    out = as_matrix(C)
+    assert out is not C and out.flags.f_contiguous
+    assert np.array_equal(out, C) and not np.shares_memory(out, C)

@@ -153,6 +153,38 @@ def test_convergence_stop():
     assert max(last.err_B_max, last.err_C_max) <= 1e-8
 
 
+class NoisySource:
+    """SyntheticSource with sigma * N(0, 1/n) added to every stored fiber
+    entry; iteration t's noise is drawn from default_rng([7, t])."""
+
+    def __init__(self, cfg, sigma):
+        self._planted = SyntheticSource(cfg)
+        self._sigma = sigma
+
+    def initial_dictionary(self):
+        return self._planted.initial_dictionary()
+
+    def instance(self, t):
+        sample, gt = self._planted.instance(t)
+        noise = np.random.default_rng([7, t]).standard_normal(sample.Y.shape)
+        Y = sample.Y + self._sigma / np.sqrt(sample.Y.shape[0]) * noise
+        return FiberSample(sample.shape, sample.cmap, Y), gt
+
+
+def test_noise_floor_is_linear_in_sigma():
+    # with noise the run stops at T_max, its dictionary error level with the
+    # noise: the same multiple of sigma over two decades, supports intact
+    ratios = []
+    for sigma in (1e-4, 1e-3, 1e-2):
+        cfg = SolverConfig(n=300, J=100, K=100, m=50, alpha=0.01, beta=0.01,
+                           T_max=150, eps_T=1e-13, seed=42)
+        last = run_online(cfg, NoisySource(cfg, sigma)).records[-1]
+        assert last.signed_support_ok
+        ratios.append(last.err_A_relF / sigma)
+    assert all(0.5 <= r <= 2.0 for r in ratios)
+    assert max(ratios) <= 1.1 * min(ratios)
+
+
 @pytest.mark.parametrize("stop_reason", ["converged", "max_iterations", "source_exhausted"])
 def test_converged_follows_stop_reason(stop_reason):
     # converged is derived, not stored, so it cannot disagree with stop_reason

@@ -153,18 +153,25 @@ def test_untangle_rows_split_alone_equal_the_whole_split():
 
 @pytest.mark.parametrize("shape", [(5000, 3), (3, 5000)])
 def test_rank1_split_of_a_long_block_takes_its_short_side_gram(shape, monkeypatch):
-    # a Gram on the long side would be 5000 x 5000; the short side's is 3 x 3
-    grams = []
-    eigh = np.linalg.eigh
+    # a Gram on the long side would be 5000 x 5000; the short side's is 3 x 3,
+    # summed in one pass per short index, and the long vector in one more
+    grams, passes = [], []
+    eigh, bincount = np.linalg.eigh, np.bincount
 
     def spy(a):
         grams.append(a.shape)
         return eigh(a)
 
+    def count(*args, **kwargs):
+        passes.append(1)
+        return bincount(*args, **kwargs)
+
     monkeypatch.setattr(np.linalg, "eigh", spy)
+    monkeypatch.setattr(np, "bincount", count)
     M = np.random.default_rng(8).standard_normal(shape)
     out = rank1_svd(M)
     assert grams == [(1, 3, 3)]
+    assert len(passes) == 3 + 1
     assert out.sigma1 == pytest.approx(np.linalg.svd(M, compute_uv=False)[0], rel=1e-12)
     bound = 1e-12 * out.sigma1
     assert np.linalg.norm(M @ out.v1 - out.sigma1 * out.u1) <= bound
