@@ -35,6 +35,13 @@ from .untangle import untangle_krp
 
 __all__ = ["main"]
 
+# decompose's preprocessing steps as (flag, step, help), in the order they apply.
+_PREPROCESS = (
+    ("log2-range", preprocess_dynamic_range, "compress counts: non-zeros become log2(value)+1"),
+    ("scale-max", scale_by_max, "divide by the largest magnitude"),
+    ("center-fibers", center_nonzero_fibers, "subtract the mean from each non-zero mode-1 fiber"),
+)
+
 
 class _Parser(argparse.ArgumentParser):
     """argparse exits 2 on a usage error; here 2 means a run did not converge."""
@@ -91,12 +98,7 @@ def _load_tensor(path, steps):
 
 
 def _cmd_decompose(args) -> int:
-    chosen = (
-        (args.log2_range, preprocess_dynamic_range),
-        (args.scale_max, scale_by_max),
-        (args.center_fibers, center_nonzero_fibers),
-    )
-    steps = [step for on, step in chosen if on]
+    steps = [step for flag, step, _ in _PREPROCESS if getattr(args, flag.replace("-", "_"))]
     tensors = [_load_tensor(path, steps) for path in args.tensor]
     n, J, K = tensors[0].shape
     # file sources have no generative sparsity; alpha/beta are inert here
@@ -146,36 +148,24 @@ def build_parser() -> argparse.ArgumentParser:
         description="Online sparse CP decomposition with paired-factor untangling",
     )
     subs = parser.add_subparsers(dest="command", required=True)
+    out = argparse.ArgumentParser(add_help=False)
+    out.add_argument("--out", default="sparsecp_out", help="output directory")
 
-    p = subs.add_parser("synth-run", help="run against the synthetic generator")
+    p = subs.add_parser("synth-run", parents=[out], help="run against the synthetic generator")
     _add_config_flags(p)
-    p.add_argument("--out", default="sparsecp_out", help="output directory")
     p.set_defaults(func=_cmd_synth_run)
 
-    p = subs.add_parser("decompose", help="run against TNSR3 tensor files")
+    p = subs.add_parser("decompose", parents=[out], help="run against TNSR3 tensor files")
     p.add_argument("tensor", nargs="+", help="TNSR3 files, one per iteration")
     _add_config_flags(p)
-    p.add_argument("--out", default="sparsecp_out", help="output directory")
-    p.add_argument(
-        "--log2-range",
-        action="store_true",
-        help="compress counts: non-zeros become log2(value)+1",
-    )
-    p.add_argument(
-        "--scale-max", action="store_true", help="divide by the largest magnitude"
-    )
-    p.add_argument(
-        "--center-fibers",
-        action="store_true",
-        help="subtract the mean from each non-zero mode-1 fiber",
-    )
+    for flag, _step, text in _PREPROCESS:
+        p.add_argument(f"--{flag}", action="store_true", help=text)
     p.set_defaults(func=_cmd_decompose)
 
-    p = subs.add_parser("untangle", help="split a coding matrix into B and C")
+    p = subs.add_parser("untangle", parents=[out], help="split a coding matrix into B and C")
     p.add_argument("matrix", help="matrix CSV with J*K columns")
     p.add_argument("--J", type=int, required=True, help="first paired dimension")
     p.add_argument("--K", type=int, required=True, help="second paired dimension")
-    p.add_argument("--out", default="sparsecp_out", help="output directory")
     p.set_defaults(func=_cmd_untangle)
 
     p = subs.add_parser("eval", help="aligned error report between two factor CSVs")

@@ -187,8 +187,10 @@ def rank1_svd(M: np.ndarray) -> Rank1Svd:
     rank1_blocks splits the block of non-zero rows and columns only, so u1
     and v1 are exactly zero outside it and the cost follows the support,
     not the full shape. An all-zero matrix returns sigma1 = 0 with
-    u1 = e1, v1 = e1 by convention.
+    u1 = e1, v1 = e1 by convention; e1 needs at least one row and column.
     """
+    if M.size == 0:
+        raise ValueError(f"rank1_svd needs a non-empty matrix, got shape {M.shape}")
     p, q = M.shape
     rows = np.flatnonzero(M.any(axis=1))
     u = np.zeros(p)

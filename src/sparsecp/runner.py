@@ -81,6 +81,9 @@ __all__ = [
 # grid; the m = 50 preset drops to 5 in the sparsest regime alpha = beta = 0.005.
 ETA_A_PRESETS = {50: 20.0, 150: 40.0, 300: 40.0, 450: 50.0, 600: 50.0}
 
+# The value that asks for a derived R, eta_A or eps0; config.txt echoes it.
+_AUTO = "auto"
+
 
 class RunMode(enum.Enum):
     ONLINE = "online"
@@ -103,7 +106,7 @@ def _parse_choice(enum_cls: type[enum.Enum], name: str) -> Callable[[str], enum.
 
 def _parse_optional(parse: Callable[[str], object]) -> Callable[[str], object]:
     def run(text: str):
-        if text.strip().lower() in ("auto", "preset", "default"):
+        if text.strip().lower() == _AUTO:
             return None
         return parse(text)
 
@@ -225,7 +228,7 @@ class SolverConfig:
         for f in fields(self):
             v = getattr(self, f.name)
             if v is None:
-                out[f.name] = "auto"
+                out[f.name] = _AUTO
             elif isinstance(v, enum.Enum):
                 out[f.name] = v.value
             elif isinstance(v, float):

@@ -54,10 +54,6 @@ class SparsityParams:
             if not 0.0 < v < 1.0:
                 raise ValueError(f"{name} must lie in (0, 1), got {v}")
 
-    @property
-    def gamma(self) -> float:
-        return self.alpha * self.beta
-
 
 @dataclass(frozen=True, eq=False)
 class GroundTruth:

@@ -171,8 +171,8 @@ def extract_nonzero_columns(
     """
     if zero_tol < 0.0:
         raise ValueError(f"zero_tol must be >= 0, got {zero_tol}")
-    # Columnwise max |entry| without materializing |Z1T|.
-    peak = np.maximum(Z1T.max(axis=0), -Z1T.min(axis=0))
+    # Columnwise max |entry| without materializing |Z1T|; a matrix with no rows keeps none.
+    peak = np.maximum(Z1T.max(axis=0, initial=0.0), -Z1T.min(axis=0, initial=0.0))
     kept = np.flatnonzero(peak > zero_tol).astype(np.int64)
     cmap = ColumnIndexMap(Z1T.shape[1], kept)
     if kept.size == Z1T.shape[1]:

@@ -8,7 +8,13 @@ from sparsecp.cli import main
 from sparsecp.runner import IterationRecord, RunResult, SolverConfig
 from sparsecp.synth import Distribution, SparsityParams, gen_dictionary, gen_tensor_instance
 from sparsecp.tensor_core import khatri_rao_transpose
-from sparsecp.tensorio import read_matrix_csv, write_matrix_csv
+from sparsecp.tensorio import (
+    center_nonzero_fibers,
+    ingest_tensor,
+    preprocess_dynamic_range,
+    read_matrix_csv,
+    write_matrix_csv,
+)
 
 FAST = [
     "--n", "40", "--J", "15", "--K", "15", "--m", "6",
@@ -298,6 +304,81 @@ def test_decompose_preprocessing_error_names_file(tmp_path, capsys, flag, body, 
     assert code == 1
     assert capsys.readouterr().err == f"error: {bad}: {message}\n"
     assert not (tmp_path / "d").exists()
+
+
+def _outputs(out):
+    return {f.name: f.read_bytes() for f in sorted(out.iterdir())}
+
+
+def test_decompose_preprocessing_applies_in_table_order(tmp_path, capsys):
+    # counts-style files; the chain is log2 first, then centering, whatever
+    # the order of the flags on the command line
+    rng = np.random.default_rng(11)
+    raw, hand = [], []
+    for t in range(3):
+        Z = np.where(rng.random((6, 3, 3)) < 0.4, rng.integers(1, 9, (6, 3, 3)), 0).astype(float)
+        raw.append(tmp_path / f"raw{t}.tnsr3")
+        write_tnsr(raw[-1], Z)
+        sample = center_nonzero_fibers(preprocess_dynamic_range(ingest_tensor(raw[-1])))
+        Zh = np.zeros(sample.shape)
+        j, k = sample.cmap.block_coords(sample.shape[1])
+        Zh[:, j, k] = sample.Y
+        hand.append(tmp_path / f"hand{t}.tnsr3")
+        write_tnsr(hand[-1], Zh)
+    runs = {
+        "cl": [*raw, "--center-fibers", "--log2-range"],
+        "lc": [*raw, "--log2-range", "--center-fibers"],
+        "hand": hand,
+    }
+    codes = [
+        main(["decompose", *map(str, args), "--m", "2", "--eta_A", "1.0",
+              "--out", str(tmp_path / name)])
+        for name, args in runs.items()
+    ]
+    assert codes[0] in (0, 2) and codes == [codes[0]] * 3
+    capsys.readouterr()
+    want = _outputs(tmp_path / "hand")
+    assert set(want) == {"A.csv", "B.csv", "C.csv", "config.txt", "metrics.csv"}
+    assert _outputs(tmp_path / "cl") == want
+    assert _outputs(tmp_path / "lc") == want
+
+
+def test_decompose_help_lists_the_preprocessing_flags(capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "200")  # one line per option
+    with pytest.raises(SystemExit):
+        main(["decompose", "--help"])
+    text = capsys.readouterr().out
+    helps = [
+        ("--log2-range", "compress counts: non-zeros become log2(value)+1"),
+        ("--scale-max", "divide by the largest magnitude"),
+        ("--center-fibers", "subtract the mean from each non-zero mode-1 fiber"),
+    ]
+    at = [re.search(rf"^  {flag} +{re.escape(help)}$", text, re.M) for flag, help in helps]
+    assert all(at), text
+    assert [m.start() for m in at] == sorted(m.start() for m in at)
+
+
+@pytest.mark.parametrize("command", ["synth-run", "decompose", "untangle"])
+def test_each_subcommand_help_lists_out_once(capsys, monkeypatch, command):
+    monkeypatch.setenv("COLUMNS", "200")
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--help"])
+    assert exc.value.code == 0
+    text = capsys.readouterr().out
+    assert len(re.findall(r"^  --out OUT +output directory$", text, re.M)) == 1
+
+
+@pytest.mark.parametrize("key, value", [("eta_A", "preset"), ("eps0", "default")])
+def test_auto_has_no_synonyms(tmp_path, capsys, key, value):
+    keys = {"n": 40, "J": 15, "K": 15, "m": 6, "alpha": 0.1, "beta": 0.1, "eta_A": 8.0}
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("".join(f"{k}={v}\n" for k, v in (keys | {key: value}).items()),
+                   encoding="utf-8")
+    code = main(["synth-run", "--config", str(cfg), "--out", str(tmp_path / "x")])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: Bad value for config key {key}: {value!r} ("), err
+    assert not (tmp_path / "x").exists()
 
 
 def test_decompose_shape_mismatch_names_file(tmp_path, capsys):

@@ -27,6 +27,7 @@ from sparsecp.tensorio import (
     preprocess_dynamic_range,
     read_matrix_csv,
     scale_by_max,
+    write_config_echo,
     write_matrix_csv,
     write_metrics_csv,
 )
@@ -683,6 +684,15 @@ def test_config_mapping_round_trip():
     mapping = cfg.to_mapping()
     assert (mapping["alpha"], mapping["eta_A"], mapping["T_max"]) == ("0.3", "2.5", "7")
     assert SolverConfig.from_mapping(mapping) == cfg
+
+
+def test_config_echo_writes_auto_and_reads_it_back(tmp_path):
+    # an unset R, eta_A or eps0 echoes as auto, which reads back as unset
+    cfg = SolverConfig(n=40, J=12, K=11, m=8, alpha=0.1, beta=0.1)
+    write_config_echo(cfg, tmp_path / "config.txt")
+    raw = parse_config_file(tmp_path / "config.txt")
+    assert (raw["R"], raw["eta_A"], raw["eps0"]) == ("auto", "auto", "auto")
+    assert SolverConfig.from_mapping(raw) == cfg
 
 
 # metrics / outputs -------------------------------------------------------

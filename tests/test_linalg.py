@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -37,6 +39,13 @@ def test_rank1_svd_zero_matrix_convention():
     assert out.sigma1 == 0.0
     assert np.array_equal(out.u1, [1.0, 0.0])
     assert np.array_equal(out.v1, [1.0, 0.0])
+
+
+@pytest.mark.parametrize("shape", [(3, 0), (0, 3)])
+def test_rank1_svd_of_an_empty_matrix_names_its_shape(shape):
+    # the e1 convention of a zero matrix needs a first row and column
+    with pytest.raises(ValueError, match=re.escape(f"got shape {shape}")):
+        rank1_svd(np.zeros(shape))
 
 
 def test_rank1_svd_sign_convention():

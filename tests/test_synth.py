@@ -159,8 +159,7 @@ def test_distribution_parse():
 
 
 def test_sparsity_params():
-    sp = SparsityParams(0.1, 0.2)
-    assert sp.gamma == pytest.approx(0.02)
+    SparsityParams(0.1, 0.2)
     with pytest.raises(ValueError):
         SparsityParams(0.0, 0.5)
     with pytest.raises(ValueError):

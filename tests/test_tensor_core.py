@@ -132,6 +132,13 @@ def test_extract_all_zero():
     assert cmap.total_cols == 0 and cmap.p == 0
 
 
+def test_extract_of_a_matrix_with_no_rows_keeps_no_column():
+    # no entry to peak at: every column counts as zero
+    Y, cmap = extract_nonzero_columns(np.zeros((0, 5)), 0.0)
+    assert Y.shape == (0, 0)
+    assert cmap.total_cols == 5 and cmap.p == 0
+
+
 def test_extract_keeps_everything_when_dense():
     M = np.array([[11.0, 12.0, 21.0, 22.0]])
     Y, cmap = extract_nonzero_columns(M, 0.0)

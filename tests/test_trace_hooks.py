@@ -2,6 +2,7 @@
 name, and its child (perfbench/solve.py) calls more of the package; a
 refactor that drops or reshapes one breaks every benchmark run."""
 
+import ast
 import importlib.util
 import json
 from pathlib import Path
@@ -15,10 +16,15 @@ from child import ROOT, run_python
 SPANS = ROOT / "perfbench" / "spans.py"
 
 
-def test_trace_hooks_resolve():
+def _load_spans():
     spec = importlib.util.spec_from_file_location("perfbench_spans", SPANS)
     spans = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(spans)
+    return spans
+
+
+def test_trace_hooks_resolve():
+    spans = _load_spans()
     missing = [
         f"{mod}.{attr}"
         for mod, attr, _ in spans.WRAPS
@@ -26,6 +32,22 @@ def test_trace_hooks_resolve():
     ]
     assert spans.WRAPS
     assert not missing, f"perfbench/spans.py wraps names the package lacks: {missing}"
+
+
+def test_tracer_only_imports_are_wrapped():
+    # a name imported only for the tracer (`# noqa: F401`) must still be one
+    # it wraps; when the tracer drops a name, the import goes with it
+    wrapped = {(mod, attr) for mod, attr, _ in _load_spans().WRAPS}
+    imported = [
+        (path.stem, alias.name)
+        for path in sorted((ROOT / "src" / "sparsecp").glob("*.py"))
+        for line in path.read_text(encoding="utf-8").splitlines()
+        if "# noqa: F401" in line
+        for alias in ast.parse(line.strip()).body[0].names
+    ]
+    assert imported
+    unwrapped = [f"{mod}.{name}" for mod, name in imported if (mod, name) not in wrapped]
+    assert not unwrapped, f"imported for the tracer but not wrapped by it: {unwrapped}"
 
 
 def _run_child(mode, workload, work, result, *extra):

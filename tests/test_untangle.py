@@ -35,6 +35,12 @@ def test_untangle_zero_row_degenerate():
     assert not out.C[:, 1].any()
 
 
+def test_untangle_of_no_rows_gives_empty_factors():
+    out = untangle_krp(np.zeros((0, 6)), J=2, K=3)
+    assert out.B.shape == (2, 0) and out.C.shape == (3, 0)
+    assert out.degenerate_rows == ()
+
+
 def test_untangle_recovers_sparse_supports():
     # seed picked so every column of both factors is non-empty: a column
     # that never appears in the product cannot be recovered
