@@ -37,7 +37,7 @@ from .runner import (
     SyntheticSource,
     run_online,
 )
-from .sparse_coding import IhtParams, hard_threshold, iht, init_code
+from .sparse_coding import IhtParams, iht, init_code
 from .synth import (
     Distribution,
     GroundTruth,
@@ -54,7 +54,6 @@ from .tensor_core import (
     cp_compose,
     cp_fibers,
     extract_nonzero_columns,
-    independent_column_indices,
     khatri_rao_transpose,
     mode1_unfold,
     scatter_columns,
@@ -104,9 +103,7 @@ __all__ = [
     "gen_sparse_factor",
     "gen_tensor_instance",
     "gradient",
-    "hard_threshold",
     "iht",
-    "independent_column_indices",
     "ingest_tensor",
     "init_code",
     "khatri_rao_transpose",

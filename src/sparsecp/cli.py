@@ -28,17 +28,16 @@ from .tensorio import (
     parse_config_file,
     preprocess_dynamic_range,
     read_matrix_csv,
-    scale_by_max,
+    scale_to_unit_fibers,
     write_matrix_csv,
 )
 from .untangle import untangle_krp
 
 __all__ = ["main"]
 
-# decompose's preprocessing steps as (flag, step, help), in the order they apply.
+# decompose's optional preprocessing steps as (flag, step, help), in the order they apply.
 _PREPROCESS = (
     ("log2-range", preprocess_dynamic_range, "compress counts: non-zeros become log2(value)+1"),
-    ("scale-max", scale_by_max, "divide by the largest magnitude"),
     ("center-fibers", center_nonzero_fibers, "subtract the mean from each non-zero mode-1 fiber"),
 )
 
@@ -87,14 +86,14 @@ def _cmd_synth_run(args) -> int:
 
 
 def _load_tensor(path, steps):
-    """Ingest one TNSR3 file and apply the preprocessing steps in order."""
+    """Ingest one TNSR3 file, apply the preprocessing steps in order, then unit-scale it."""
     sample = ingest_tensor(path)
     try:
         for step in steps:
             sample = step(sample)
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from exc
-    return sample
+    return scale_to_unit_fibers(sample)  # the codes' unit magnitude, whatever the file's units
 
 
 def _cmd_decompose(args) -> int:

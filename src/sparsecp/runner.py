@@ -168,6 +168,11 @@ class SolverConfig:
         if self.eps0 is not None and not 0.0 <= self.eps0 < 2.0:
             raise ValueError(f"eps0 must lie in [0, 2), got {self.eps0}")
         self.iht_params()  # validates eta_x, tau, R, C_lb
+        if self.dist is Distribution.BOUNDED_SUBGAUSSIAN and self.C_lb**2 < self.tau:
+            raise ValueError(
+                f"C_lb**2 = {self.C_lb**2!r} is below tau = {self.tau!r}: a code entry, a B "
+                "entry times a C entry, can be as small as C_lb**2, and IHT would drop it"
+            )
 
     def iht_params(self) -> IhtParams:
         return IhtParams(eta_x=self.eta_x, tau=self.tau, R=self.R, C_lb=self.C_lb)
@@ -395,7 +400,7 @@ def run_online(cfg: SolverConfig, source: TensorSource | None = None) -> RunResu
             cmap = ColumnIndexMap(J * K, sample.cmap.kept[live.kept])
         p = cmap.p
         j, k = cmap.block_coords(J)
-        indep_pos = np.flatnonzero(j == k)  # independent_column_indices(J, K) in cmap
+        indep_pos = np.flatnonzero(j == k)  # kept fibers (k, k), which touch distinct B and C rows
         p_indep = int(indep_pos.size)
 
         stage = "Sparse coding"
@@ -427,6 +432,10 @@ def run_online(cfg: SolverConfig, source: TensorSource | None = None) -> RunResu
 
             stage = "Metrics"
             fit = data_fit(Y, R) if p > 0 else 0.0
+            if fit > 1.0 + 1e-9:  # an idle iteration's residual is -Y, a fit of exactly 1
+                raise ValueError(
+                    f"data_fit {fit:.3e} > 1: the codes fit the sample worse than zero codes"
+                )
             err_X_relF, ss_ok, err_B_max, err_C_max, min_corr = 0.0, True, 0.0, 0.0, 0.0
             if gt is not None:
                 align = match_columns(A_new, gt.A)

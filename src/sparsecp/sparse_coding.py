@@ -26,7 +26,6 @@ __all__ = [
     "IhtParams",
     "IhtDivergenceError",
     "default_iht_steps",
-    "hard_threshold",
     "init_code",
     "iht",
 ]
@@ -82,14 +81,6 @@ class IhtParams:
             object.__setattr__(self, "R", default_iht_steps(self.eta_x))
         elif self.R < 0:
             raise ValueError(f"R must be >= 0, got {self.R}")
-
-
-def hard_threshold(z, tau: float) -> np.ndarray:
-    """Return z with entries of magnitude < tau zeroed (|z| == tau is kept)."""
-    if tau < 0.0:
-        raise ValueError(f"tau must be >= 0, got {tau}")
-    z = np.asarray(z, dtype=np.float64)
-    return np.where(np.abs(z) >= tau, z, 0.0)
 
 
 def init_code(A, Y, C_lb: float = 1.0) -> np.ndarray:

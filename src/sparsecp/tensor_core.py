@@ -27,7 +27,6 @@ __all__ = [
     "khatri_rao_columns",
     "extract_nonzero_columns",
     "scatter_columns",
-    "independent_column_indices",
 ]
 
 
@@ -191,16 +190,3 @@ def scatter_columns(Xhat, cmap: ColumnIndexMap) -> np.ndarray:
     S[:, cmap.kept] = Xhat
     return S
 
-
-def independent_column_indices(J: int, K: int) -> np.ndarray:
-    """Return flat indices of the k-th column of the k-th block, k < min(J, K).
-
-    Row-wise, entries of S at these columns touch pairwise-distinct B rows
-    and pairwise-distinct C rows, which is what makes the selected samples
-    independent.
-    """
-    if J < 1 or K < 1:
-        raise ValueError(f"Dimensions must be >= 1, got J={J}, K={K}")
-    L = min(J, K)
-    k = np.arange(L, dtype=np.int64)
-    return k * J + k

@@ -23,15 +23,15 @@ from typing import NoReturn, Sequence, get_type_hints
 
 import numpy as np
 
-from .linalg import as_matrix
+from .linalg import as_matrix, column_norms
 from .runner import IterationRecord, SolverConfig
 from .tensor_core import ColumnIndexMap, FiberSample
 
 __all__ = [
     "ingest_tensor",
     "preprocess_dynamic_range",
-    "scale_by_max",
     "center_nonzero_fibers",
+    "scale_to_unit_fibers",
     "read_matrix_csv",
     "write_matrix_csv",
     "parse_config_file",
@@ -243,14 +243,6 @@ def preprocess_dynamic_range(sample: FiberSample) -> FiberSample:
     return replace(sample, Y=np.where(mask, np.log2(safe) + 1.0, 0.0))
 
 
-def scale_by_max(sample: FiberSample) -> FiberSample:
-    """Divide the tensor by its largest entry magnitude."""
-    peak = float(np.abs(sample.Y).max(initial=0.0))
-    if peak == 0.0:
-        raise ValueError("Cannot max-scale an all-zero tensor")
-    return replace(sample, Y=sample.Y / peak)
-
-
 def center_nonzero_fibers(sample: FiberSample) -> FiberSample:
     """Subtract the mean from each mode-1 fiber that has any non-zero.
 
@@ -259,6 +251,20 @@ def center_nonzero_fibers(sample: FiberSample) -> FiberSample:
     Y = sample.Y
     live = Y.any(axis=0)
     return replace(sample, Y=Y - np.where(live, Y.mean(axis=0), 0.0))
+
+
+def scale_to_unit_fibers(sample: FiberSample) -> FiberSample:
+    """Divide the sample by the median l2 norm of its non-zero fibers.
+
+    A 1-sparse fiber is its code entry times a unit atom, so this puts the
+    codes at the unit magnitude the loop's thresholds and steps assume. A
+    sample with no non-zero fiber comes back unchanged.
+    """
+    peak = float(np.abs(sample.Y).max(initial=0.0))
+    if peak == 0.0:
+        return sample
+    norms = column_norms(sample.Y / peak)  # |Y / peak| <= 1: no square overflows, none near 1 vanishes
+    return replace(sample, Y=sample.Y / (np.median(norms[norms > 0.0]) * peak))
 
 
 # Matrix CSV ---------------------------------------------------------------

@@ -9,7 +9,9 @@ normalized_column_errors are kept as they were (on column_norms) to pin
 the whole-array ones to the same results, and the earlier 1-sparse
 closed-form rule to show that iht's certificate settles all its columns.
 scalar_rank1_blocks sums each block's Gram and vector in Python loops,
-pinning rank1_blocks' summation order bit for bit.
+pinning rank1_blocks' summation order bit for bit. hard_threshold (iht's
+T_tau) and independent_column_indices (run_online's j == k selection)
+are the plain forms of rules the package applies inline.
 The checks at the end (spectral_norm, incoherence, closeness_check,
 descent_correlation) are used by tests only; unlike the references, they
 are built on the package's public functions.
@@ -132,6 +134,14 @@ def compose_triple_loop(A, B, C) -> np.ndarray:
     return Z
 
 
+def hard_threshold(z, tau: float) -> np.ndarray:
+    """Return z with entries of magnitude < tau zeroed (|z| == tau is kept)."""
+    if tau < 0.0:
+        raise ValueError(f"tau must be >= 0, got {tau}")
+    z = np.asarray(z, dtype=np.float64)
+    return np.where(np.abs(z) >= tau, z, 0.0)
+
+
 def scalar_iht(y, x0, eta: float, tau: float, R: int) -> np.ndarray:
     """Elementwise recursion for the orthonormal-dictionary case A = I."""
     x = np.array(x0, dtype=np.float64, copy=True)
@@ -190,6 +200,20 @@ def one_sparse_rule(A, Y, X0, eta: float, tau: float, R: int) -> list[int]:
         if eta * worst < tau * (1.0 - 1e-9):
             settled.append(q)
     return settled
+
+
+def independent_column_indices(J: int, K: int) -> np.ndarray:
+    """Return flat indices of the k-th column of the k-th block, k < min(J, K).
+
+    Row-wise, entries of S at these columns touch pairwise-distinct B rows
+    and pairwise-distinct C rows, which is what makes the selected samples
+    independent.
+    """
+    if J < 1 or K < 1:
+        raise ValueError(f"Dimensions must be >= 1, got J={J}, K={K}")
+    L = min(J, K)
+    k = np.arange(L, dtype=np.int64)
+    return k * J + k
 
 
 def nonzero_fibers(Z):

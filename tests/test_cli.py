@@ -6,7 +6,15 @@ import pytest
 
 from sparsecp.cli import main
 from sparsecp.runner import IterationRecord, RunResult, SolverConfig
-from sparsecp.synth import Distribution, SparsityParams, gen_dictionary, gen_tensor_instance
+from sparsecp.metrics import column_errors, match_columns
+from sparsecp.synth import (
+    Distribution,
+    SparsityParams,
+    child_seed,
+    gen_dictionary,
+    gen_tensor_instance,
+    perturb_init,
+)
 from sparsecp.tensor_core import khatri_rao_transpose
 from sparsecp.tensorio import (
     center_nonzero_fibers,
@@ -102,6 +110,14 @@ def test_synth_run_bad_value_is_reported(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: ")
     assert "alpha" in err
+
+
+def test_synth_run_rejects_code_entries_below_tau(tmp_path, capsys):
+    code = main(["synth-run", *FAST, "--dist", "bounded_subgaussian", "--C_lb", "0.3",
+                 "--out", str(tmp_path / "x")])
+    assert code == 1
+    assert capsys.readouterr().err.startswith("error: C_lb**2 = 0.09 is below tau = 0.1: ")
+    assert not (tmp_path / "x").exists()
 
 
 def test_negative_seed_is_rejected_by_name(tmp_path, capsys):
@@ -220,6 +236,36 @@ def test_decompose_runs_on_files(tmp_path, capsys):
     assert read_matrix_csv(out / "A.csv").shape == (n, m)
 
 
+def test_decompose_runs_in_the_files_units_alike(tmp_path, capsys):
+    # files planted 0.2 from decompose's seed-5 start, written at five scales: each
+    # sample is divided by its median non-zero fiber norm, so the run cannot tell them apart
+    n, J, K, m = 30, 12, 12, 4
+    root = np.random.SeedSequence(5)
+    planted = perturb_init(gen_dictionary(n, m, child_seed(root, 0)), 0.2, child_seed(root, 1))
+    Zs = [
+        gen_tensor_instance(n, J, K, m, SparsityParams(0.15, 0.15), Distribution.RADEMACHER,
+                            1.0, planted, child_seed(root, 2, t))[0]
+        for t in range(6)
+    ]
+    runs = {}
+    for c in (0.01, 0.25, 1.0, 4.0, 100.0):
+        paths = []
+        for t, Z in enumerate(Zs):
+            paths.append(tmp_path / f"x{c}-{t}.tnsr3")
+            write_tnsr(paths[-1], Z * c)
+        out = tmp_path / f"d{c}"
+        code = main(["decompose", *map(str, paths), "--m", "4", "--seed", "5", "--eta_A", "4",
+                     "--eps_T", "1e-300", "--out", str(out)])
+        msg = capsys.readouterr().out
+        assert code == 2 and msg.startswith("stopped t=5 ") and " idle=0 -> " in msg, (c, msg)
+        runs[c] = _outputs(out)
+    A = read_matrix_csv(tmp_path / "d1.0" / "A.csv")
+    assert column_errors(A, planted, match_columns(A, planted)).max_err < 0.05  # 0.2 at the start
+    assert runs[0.25] == runs[1.0] == runs[4.0]  # a power of two moves no bit
+    for c in (0.01, 100.0):
+        assert np.abs(read_matrix_csv(tmp_path / f"d{c}" / "A.csv") - A).max() <= 1e-12
+
+
 def test_decompose_dims_from_tensor_header(tmp_path, capsys):
     Z = np.zeros((5, 3, 2))
     Z[0, 0, 0] = 0.4
@@ -230,11 +276,10 @@ def test_decompose_dims_from_tensor_header(tmp_path, capsys):
         ["decompose", str(p), "--m", "2", "--eta_A", "1.0", "--T_max", "5",
          "--eps_T", "1e-300", "--out", str(out)]
     )
-    # the lone spike is below every code threshold, |A[0, i] * 0.4| <= 0.4 <
-    # C_lb / 2 = 0.5 for any unit-column start, so every code is zero: the
-    # dictionary never moves, but no movement stop fires on zero codes
+    # the lone spike scales to 1, and the seed-42 start has |A[0, 0]| = 0.533 >=
+    # C_lb / 2, so its code is non-zero and the one iteration learns
     assert code == 2
-    assert "stop_reason=source_exhausted idle=1 -> " in capsys.readouterr().out
+    assert "stop_reason=source_exhausted idle=0 -> " in capsys.readouterr().out
     echoed = dict(
         kv.split("=", 1) for kv in (out / "config.txt").read_text().splitlines() if "=" in kv
     )
@@ -270,8 +315,8 @@ def test_decompose_logs_last_iteration_when_files_run_out(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
-    "flag, peak", [("--scale-max", -8.0), ("--log2-range", 8.0), ("--center-fibers", -8.0)],
-    ids=["scale-max", "log2-range", "center-fibers"],
+    "flag, peak", [("--log2-range", 8.0), ("--center-fibers", -8.0)],
+    ids=["log2-range", "center-fibers"],
 )
 def test_decompose_scale_max(tmp_path, capsys, flag, peak):
     # log2-range takes counts-style data, every non-zero >= 1
@@ -292,9 +337,8 @@ def test_decompose_scale_max(tmp_path, capsys, flag, peak):
     "flag, body, message",
     [("--log2-range", "1 1 1 2.0\n2 2 1 0.5\n",
       "Non-zero entry 0.5 at (2, 2, 1) is < 1; dynamic-range compression needs "
-      "counts-style data"),
-     ("--scale-max", "", "Cannot max-scale an all-zero tensor")],
-    ids=["log2-range", "scale-max"],
+      "counts-style data")],
+    ids=["log2-range"],
 )
 def test_decompose_preprocessing_error_names_file(tmp_path, capsys, flag, body, message):
     good, bad = tmp_path / "good.tnsr3", tmp_path / "bad.tnsr3"
@@ -350,7 +394,6 @@ def test_decompose_help_lists_the_preprocessing_flags(capsys, monkeypatch):
     text = capsys.readouterr().out
     helps = [
         ("--log2-range", "compress counts: non-zeros become log2(value)+1"),
-        ("--scale-max", "divide by the largest magnitude"),
         ("--center-fibers", "subtract the mean from each non-zero mode-1 fiber"),
     ]
     at = [re.search(rf"^  {flag} +{re.escape(help)}$", text, re.M) for flag, help in helps]
@@ -458,6 +501,10 @@ def test_usage_errors_exit_1_and_help_exits_0(tmp_path, capsys):
         main(["untangle", str(tmp_path / "x.csv"), "--J", "abc", "--K", "2"])
     assert exc.value.code == 1
     assert "error: argument --J: invalid int value: 'abc'" in capsys.readouterr().err
+    with pytest.raises(SystemExit) as exc:  # every decompose run is scaled; no flag selects it
+        main(["decompose", str(tmp_path / "z.tnsr"), "--m", "2", "--scale-max"])
+    assert exc.value.code == 1
+    assert "error: unrecognized arguments: --scale-max" in capsys.readouterr().err
     with pytest.raises(SystemExit) as exc:
         main(["synth-run", "--help"])
     assert exc.value.code == 0

@@ -26,7 +26,7 @@ from sparsecp.tensorio import (
     parse_config_file,
     preprocess_dynamic_range,
     read_matrix_csv,
-    scale_by_max,
+    scale_to_unit_fibers,
     write_config_echo,
     write_matrix_csv,
     write_metrics_csv,
@@ -408,14 +408,30 @@ def test_preprocess_dynamic_range():
         preprocess_dynamic_range(sample_of(Z))
 
 
-def test_scale_by_max():
-    Z = np.zeros((2, 1, 2))
-    Z[0, 0, 1] = -4.0
-    Z[1, 0, 0] = 2.0
-    out = scale_by_max(sample_of(Z))
-    assert np.array_equal(out.Y, [[0.0, -1.0], [0.5, 0.0]])
-    with pytest.raises(ValueError, match="all-zero"):
-        scale_by_max(sample_of(np.zeros((2, 2, 2))))
+def test_scale_to_unit_fibers():
+    # fiber norms 0, 1, 2 and 8: the median of the non-zero ones is 2, of all four 1.5
+    Y = np.array([[0.0, 1.0, 0.0, 8.0], [0.0, 0.0, -2.0, 0.0]])
+    s = FiberSample((2, 4, 1), ColumnIndexMap(4, np.arange(4)), Y)
+    out = scale_to_unit_fibers(s)
+    assert np.array_equal(out.Y, Y / 2.0)
+    assert np.array_equal(out.cmap.kept, s.cmap.kept) and out.shape == s.shape
+    # fibers that all centre to zero, and a sample with no fiber, come back as they are
+    flat = center_nonzero_fibers(FiberSample((3, 2, 1), ColumnIndexMap(2, np.arange(2)),
+                                             np.ones((3, 2))))
+    empty = sample_of(np.zeros((2, 2, 2)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert scale_to_unit_fibers(flat) is flat
+        assert scale_to_unit_fibers(empty) is empty
+    # a power-of-two scale of the input moves no bit of the output; any other scale,
+    # even one whose squares would overflow or vanish, moves only its rounding
+    Z = np.where(np.random.default_rng(3).random((5, 4, 3)) < 0.3,
+                 np.random.default_rng(4).standard_normal((5, 4, 3)), 0.0)
+    want = scale_to_unit_fibers(sample_of(Z)).Y
+    for k in (-60, -1, 1, 7, 60):
+        assert np.array_equal(scale_to_unit_fibers(sample_of(Z * 2.0**k)).Y, want)
+    for c in (0.3, 1e200, 1e-200):
+        assert np.allclose(scale_to_unit_fibers(sample_of(Z * c)).Y, want, rtol=1e-14, atol=0.0)
 
 
 def test_center_nonzero_fibers():

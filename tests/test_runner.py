@@ -38,11 +38,10 @@ from sparsecp.tensor_core import (
     FiberSample,
     cp_fibers,
     extract_nonzero_columns,
-    independent_column_indices,
     mode1_unfold,
 )
 
-from oracles import nonzero_fibers
+from oracles import independent_column_indices, nonzero_fibers
 
 TINY = 1e-300  # effectively "never stop on eps_T"
 
@@ -562,6 +561,35 @@ def test_metrics_failure_names_iteration():
     assert isinstance(err.value.__cause__, ValueError)
 
 
+class NearDuplicateAtomsSource:
+    """m unit atoms, each e_0 + 0.01*N(0, 1) normalized, and every sample the
+    one fiber 2*a_0. The atoms' Gram is near rank 1, so the IHT steps grow
+    without bound but stay finite: no IhtDivergenceError fires."""
+
+    def __init__(self, cfg):
+        A = 0.01 * np.random.default_rng(0).standard_normal((cfg.n, cfg.m))
+        A[0] += 1.0
+        self._A = A / np.linalg.norm(A, axis=0)
+
+    def initial_dictionary(self):
+        return self._A
+
+    def instance(self, t):
+        sample = FiberSample((self._A.shape[0], 1, 1), ColumnIndexMap(1, [0]), 2.0 * self._A[:, :1])
+        return sample, None
+
+
+def test_codes_that_fit_worse_than_zero_codes_stop_the_run():
+    cfg = SolverConfig(n=20, J=1, K=1, m=11, alpha=0.5, beta=0.5, eta_A=1.0, T_max=3)
+    expect = "Metrics failed at iteration 0: data_fit "
+    with pytest.raises(RuntimeError, match=expect) as err:
+        run_online(cfg, source=NearDuplicateAtomsSource(cfg))
+    assert isinstance(err.value.__cause__, ValueError)
+    fit = float(re.search(r"data_fit (\S+) > 1: the codes fit the sample worse than zero codes$",
+                          str(err.value)).group(1))
+    assert fit > 1e6, str(err.value)
+
+
 def test_untangle_failure_names_iteration(monkeypatch):
     cfg = cfg_small(T_max=4)
     source = SyntheticSource(cfg)
@@ -694,3 +722,16 @@ def test_config_validation():
     with pytest.raises(ValueError, match="^seed must be >= 0, got -1$"):
         cfg_small(seed=-1)
     assert cfg_small(seed=0).seed == 0
+
+
+def test_bounded_subgaussian_code_entries_below_tau_are_rejected():
+    # a code entry is a B entry times a C entry, so this law puts some at C_lb**2
+    canonical = dict(n=300, J=100, K=100, m=50, alpha=0.01, beta=0.01,
+                     dist=Distribution.BOUNDED_SUBGAUSSIAN)
+    expect = "C_lb**2 = 0.09 is below tau = 0.1: "
+    with pytest.raises(ValueError, match="^" + re.escape(expect)):
+        SolverConfig(**canonical, C_lb=0.3)
+    assert SolverConfig(**canonical, C_lb=0.5).C_lb == 0.5
+    assert SolverConfig(**canonical, C_lb=0.3, tau=0.09).tau == 0.09
+    # Rademacher entries are +-1 whatever C_lb says
+    assert SolverConfig(**(canonical | {"dist": Distribution.RADEMACHER}), C_lb=0.3).C_lb == 0.3

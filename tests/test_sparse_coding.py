@@ -8,12 +8,11 @@ from sparsecp.sparse_coding import (
     IhtDivergenceError,
     IhtParams,
     default_iht_steps,
-    hard_threshold,
     iht,
     init_code,
 )
 
-from oracles import one_sparse_rule, residual_iht, scalar_iht, stepped_iht
+from oracles import hard_threshold, one_sparse_rule, residual_iht, scalar_iht, stepped_iht
 
 
 # hard_threshold ----------------------------------------------------------

@@ -12,14 +12,13 @@ from sparsecp.tensor_core import (
     cp_compose,
     cp_fibers,
     extract_nonzero_columns,
-    independent_column_indices,
     khatri_rao_columns,
     khatri_rao_transpose,
     mode1_unfold,
     scatter_columns,
 )
 
-from oracles import compose_triple_loop, nonzero_fibers
+from oracles import compose_triple_loop, independent_column_indices, nonzero_fibers
 
 
 def small_factors(seed, n=3, J=4, K=5, m=2):
