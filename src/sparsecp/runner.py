@@ -58,7 +58,7 @@ from .tensor_core import (
     extract_nonzero_columns,
     khatri_rao_columns,
 )
-from .untangle import untangle_codes
+from .untangle import UntangledFactors, untangle_codes
 
 # Not called here: the benchmark's tracer wraps these runner attributes by name.
 from .sparse_coding import init_code  # noqa: F401
@@ -355,16 +355,132 @@ def _min_descent_correlation(g, A_prev, A_star, align, used, eps_T) -> float:
     return float(corr[live].min())
 
 
+@dataclass(frozen=True, eq=False)
+class _Step:
+    """One sample's outcome: the stepped dictionary, the codes X of the
+    fibers cmap.kept and their split unf (None if nothing read it), and
+    the iteration's record."""
+
+    A: np.ndarray
+    X: np.ndarray
+    cmap: ColumnIndexMap
+    unf: UntangledFactors | None
+    learned: bool
+    should_stop: bool
+    record: IterationRecord
+
+
+def _step(cfg: SolverConfig, ihtp: IhtParams, eta_A: float, A: np.ndarray,
+          sample: FiberSample, gt: GroundTruth | None, t: int, tick: float) -> _Step:
+    """Code sample t against A, step A and score the step; the record's
+    wall_ms counts from tick, when iteration t began.
+
+    Every per-sample array (the kept values, the residual, the scoring
+    arrays) is local here and dies when the step returns; the residual
+    goes as soon as gradient and data_fit have read it. An error in a
+    stage is raised as RuntimeError("<Stage> failed at iteration t: ...").
+    """
+    J, K = cfg.J, cfg.K
+    Y, live = extract_nonzero_columns(sample.Y, cfg.zero_tol)
+    if live.p == sample.cmap.p:
+        cmap = sample.cmap  # nothing dropped: Y is sample.Y, uncopied
+    else:
+        cmap = ColumnIndexMap(J * K, sample.cmap.kept[live.kept])
+    p = cmap.p
+    j, k = cmap.block_coords(J)
+    indep_pos = np.flatnonzero(j == k)  # kept fibers (k, k), which touch distinct B and C rows
+    p_indep = int(indep_pos.size)
+
+    stage = "Sparse coding"
+    try:
+        Xh = iht(A, Y, None, ihtp)
+        unf = None
+        if gt is not None:  # only the B/C errors read this sample's split
+            stage = "Untangle"
+            unf = untangle_codes(Xh, cmap, J, K)
+
+        stage = "Dictionary update"
+        # one residual of the pre-step dictionary feeds gradient and data_fit
+        R = A @ Xh
+        R -= Y
+        if cfg.sample_mode is SampleMode.INDEPENDENT_ONLY:
+            sel, p_sel = indep_pos, p_indep
+        else:
+            sel, p_sel = slice(None), p  # every column, as views
+        g = None
+        if p_sel > 0:
+            g = gradient(R[:, sel], Xh[:, sel])
+            A_new = step_and_normalize(A, g, eta_A)
+        else:
+            A_new = A  # no usable samples; skip the update, keep logging
+        # all-zero codes give a zero gradient: no movement, but nothing learned
+        used = Xh[:, sel].any(axis=1)  # the atoms the selected codes use
+        learned = g is not None and bool(used.any())
+
+        stage = "Metrics"
+        fit = data_fit(Y, R) if p > 0 else 0.0
+        del R, Y
+        if fit > 1.0 + 1e-9:  # an idle iteration's residual is -Y, a fit of exactly 1
+            raise ValueError(
+                f"data_fit {fit:.3e} > 1: the codes fit the sample worse than zero codes"
+            )
+        err_X_relF, ss_ok, err_B_max, err_C_max, min_corr = 0.0, True, 0.0, 0.0, 0.0
+        if gt is not None:
+            align = match_columns(A_new, gt.A)
+            colerrs = column_errors(A_new, gt.A, align)
+            err_A_max = colerrs.max_err
+            err_A_relF = rel_frobenius(align_columns(A_new, align), gt.A)
+            X_star = khatri_rao_columns(gt.B, gt.C, cmap)
+            if p > 0:
+                X_al = align_rows(Xh, align)
+                err_X_relF = rel_frobenius(X_al, X_star)
+                ss_ok = signed_support_equal(X_al, X_star)
+            shown = X_star.any(axis=1)  # an atom no kept fiber shows is scored against zeros
+            err_B_max = float(normalized_column_errors(unf.B, gt.B * shown, align).max())
+            err_C_max = float(normalized_column_errors(unf.C, gt.C * shown, align).max())
+            if g is not None:
+                min_corr = _min_descent_correlation(g, A, gt.A, align, used, cfg.eps_T)
+            should_stop = err_A_max <= cfg.eps_T
+        else:
+            movement = float(np.linalg.norm(A_new - A))
+            err_A_max = movement
+            err_A_relF = movement / float(np.linalg.norm(A))
+            should_stop = learned and movement <= cfg.eps_T
+    except (IhtDivergenceError, ValueError) as exc:
+        raise RuntimeError(f"{stage} failed at iteration {t}: {exc}") from exc
+
+    record = IterationRecord(
+        t=t,
+        p=p,
+        p_indep=p_indep,
+        err_A_max=err_A_max,
+        err_A_relF=err_A_relF,
+        err_X_relF=err_X_relF,
+        signed_support_ok=ss_ok,
+        data_fit=fit,
+        err_B_max=err_B_max,
+        err_C_max=err_C_max,
+        min_descent_corr=min_corr,
+        wall_ms=(time.perf_counter() - tick) * 1000.0,
+    )
+    return _Step(A_new, Xh, cmap, unf, learned, should_stop, record)
+
+
 def run_online(cfg: SolverConfig, source: TensorSource | None = None) -> RunResult:
-    """Run the online decomposition and return factors, records, stop reason."""
+    """Run the online decomposition and return factors, records, stop reason.
+
+    Each iteration checks the source's sample and hands it to _step, so
+    one sample's arrays are alive at a time: the loop keeps the dictionary
+    and the last step's codes, and in online mode it drops the last
+    sample before the source builds the next.
+    """
     start = time.perf_counter()
     if source is None:
         source = SyntheticSource(cfg)
     A = as_matrix(source.initial_dictionary(), rows=cfg.n, cols=cfg.m)
     ihtp = cfg.iht_params()
     eta_A = cfg.resolved_eta_A()
-    J, K = cfg.J, cfg.K
-    want = (cfg.n, J, K)
+    want = (cfg.n, cfg.J, cfg.K)
 
     records: list[IterationRecord] = []
     stop_reason = "max_iterations"
@@ -373,6 +489,7 @@ def run_online(cfg: SolverConfig, source: TensorSource | None = None) -> RunResu
     for t in range(cfg.T_max):
         tick = time.perf_counter()
         if t == 0 or cfg.mode is RunMode.ONLINE:
+            sample = gt = None  # the last sample goes before the source builds the next
             inst = source.instance(t)  # batch mode keeps the first one
             if inst is None:
                 if t == 0:
@@ -385,6 +502,7 @@ def run_online(cfg: SolverConfig, source: TensorSource | None = None) -> RunResu
                     f"Source gave a {kind} at iteration {t}, not a (sample, truth) pair"
                 )
             sample, gt = inst
+            del inst  # the pair would keep this sample alive through the next draw
             if not isinstance(sample, FiberSample):
                 kind = type(sample).__name__
                 raise TypeError(f"Sample at iteration {t} is a {kind}, not a FiberSample")
@@ -393,102 +511,23 @@ def run_online(cfg: SolverConfig, source: TensorSource | None = None) -> RunResu
                     f"Sample at iteration {t} has shape {sample.shape}, config says {want}"
                 )
 
-        Y, live = extract_nonzero_columns(sample.Y, cfg.zero_tol)
-        if live.p == sample.cmap.p:
-            cmap = sample.cmap  # nothing dropped: Y is sample.Y, uncopied
-        else:
-            cmap = ColumnIndexMap(J * K, sample.cmap.kept[live.kept])
-        p = cmap.p
-        j, k = cmap.block_coords(J)
-        indep_pos = np.flatnonzero(j == k)  # kept fibers (k, k), which touch distinct B and C rows
-        p_indep = int(indep_pos.size)
-
-        stage = "Sparse coding"
-        try:
-            Xh = iht(A, Y, None, ihtp)
-            unf = None
-            if gt is not None:  # only the B/C errors read this sample's split
-                stage = "Untangle"
-                unf = untangle_codes(Xh, cmap, J, K)
-
-            stage = "Dictionary update"
-            # one residual of the pre-step dictionary feeds gradient and data_fit
-            R = A @ Xh
-            R -= Y
-            if cfg.sample_mode is SampleMode.INDEPENDENT_ONLY:
-                sel, p_sel = indep_pos, p_indep
-            else:
-                sel, p_sel = slice(None), p  # every column, as views
-            g = None
-            if p_sel > 0:
-                g = gradient(R[:, sel], Xh[:, sel])
-                A_new = step_and_normalize(A, g, eta_A)
-            else:
-                A_new = A  # no usable samples; skip the update, keep logging
-            # all-zero codes give a zero gradient: no movement, but nothing learned
-            used = Xh[:, sel].any(axis=1)  # the atoms the selected codes use
-            learned = g is not None and bool(used.any())
-            idle += not learned
-
-            stage = "Metrics"
-            fit = data_fit(Y, R) if p > 0 else 0.0
-            if fit > 1.0 + 1e-9:  # an idle iteration's residual is -Y, a fit of exactly 1
-                raise ValueError(
-                    f"data_fit {fit:.3e} > 1: the codes fit the sample worse than zero codes"
-                )
-            err_X_relF, ss_ok, err_B_max, err_C_max, min_corr = 0.0, True, 0.0, 0.0, 0.0
-            if gt is not None:
-                align = match_columns(A_new, gt.A)
-                colerrs = column_errors(A_new, gt.A, align)
-                err_A_max = colerrs.max_err
-                err_A_relF = rel_frobenius(align_columns(A_new, align), gt.A)
-                X_star = khatri_rao_columns(gt.B, gt.C, cmap)
-                if p > 0:
-                    X_al = align_rows(Xh, align)
-                    err_X_relF = rel_frobenius(X_al, X_star)
-                    ss_ok = signed_support_equal(X_al, X_star)
-                shown = X_star.any(axis=1)  # an atom no kept fiber shows is scored against zeros
-                err_B_max = float(normalized_column_errors(unf.B, gt.B * shown, align).max())
-                err_C_max = float(normalized_column_errors(unf.C, gt.C * shown, align).max())
-                if g is not None:
-                    min_corr = _min_descent_correlation(g, A, gt.A, align, used, cfg.eps_T)
-                should_stop = err_A_max <= cfg.eps_T
-            else:
-                movement = float(np.linalg.norm(A_new - A))
-                err_A_max = movement
-                err_A_relF = movement / float(np.linalg.norm(A))
-                should_stop = learned and movement <= cfg.eps_T
-        except (IhtDivergenceError, ValueError) as exc:
-            raise RuntimeError(f"{stage} failed at iteration {t}: {exc}") from exc
-
-        record = IterationRecord(
-            t=t,
-            p=p,
-            p_indep=p_indep,
-            err_A_max=err_A_max,
-            err_A_relF=err_A_relF,
-            err_X_relF=err_X_relF,
-            signed_support_ok=ss_ok,
-            data_fit=fit,
-            err_B_max=err_B_max,
-            err_C_max=err_C_max,
-            min_descent_corr=min_corr,
-            wall_ms=(time.perf_counter() - tick) * 1000.0,
-        )
+        step = _step(cfg, ihtp, eta_A, A, sample, gt, t, tick)
+        idle += not step.learned
         if t % cfg.log_every == 0:
-            records.append(record)
+            records.append(step.record)
 
-        A = A_new
-        if should_stop:
+        A = step.A
+        if step.should_stop:
             stop_reason = "converged"
             break
 
-    # Xh, cmap, unf and record are the last finished iteration's (a source runs dry at t > 0)
+    record = step.record  # the last finished iteration's (a source runs dry at t > 0)
     if records[-1] is not record:
         records.append(record)  # the last iteration is logged whatever log_every says
+    unf = step.unf
     if unf is None:  # no ground truth: split only the codes returned
         try:
-            unf = untangle_codes(Xh, cmap, J, K)
+            unf = untangle_codes(step.X, step.cmap, cfg.J, cfg.K)
         except ValueError as exc:
             raise RuntimeError(f"Untangle failed at iteration {record.t}: {exc}") from exc
 
@@ -497,7 +536,7 @@ def run_online(cfg: SolverConfig, source: TensorSource | None = None) -> RunResu
         A=A,
         B=unf.B,
         C=unf.C,
-        X=Xh,
+        X=step.X,
         stop_reason=stop_reason,
         iterations=record.t + 1,
         idle_iterations=idle,

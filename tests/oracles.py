@@ -14,10 +14,13 @@ T_tau) and independent_column_indices (run_online's j == k selection)
 are the plain forms of rules the package applies inline.
 The checks at the end (spectral_norm, incoherence, closeness_check,
 descent_correlation) are used by tests only; unlike the references, they
-are built on the package's public functions.
+are built on the package's public functions. traced_peak is how every
+memory bound is measured.
 """
 
 from __future__ import annotations
+
+import tracemalloc
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
@@ -319,3 +322,13 @@ def descent_correlation(g_i, Ai, Astar_i) -> float:
             f"Length mismatch: {g_i.shape}, {Ai.shape}, {Astar_i.shape}"
         )
     return float(g_i @ (Ai - Astar_i))
+
+
+def traced_peak(fn):
+    """Return (fn(), the peak bytes tracemalloc traced while fn ran)."""
+    tracemalloc.start()
+    try:
+        out = fn()
+        return out, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()

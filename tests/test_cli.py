@@ -318,7 +318,7 @@ def test_decompose_logs_last_iteration_when_files_run_out(tmp_path, capsys):
     "flag, peak", [("--log2-range", 8.0), ("--center-fibers", -8.0)],
     ids=["log2-range", "center-fibers"],
 )
-def test_decompose_scale_max(tmp_path, capsys, flag, peak):
+def test_decompose_runs_each_preprocessing_flag(tmp_path, capsys, flag, peak):
     # log2-range takes counts-style data, every non-zero >= 1
     Z = np.zeros((4, 2, 2))
     Z[0, 0, 0] = peak

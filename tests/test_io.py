@@ -1,7 +1,6 @@
 import os
 import re
 import threading
-import tracemalloc
 import warnings
 
 import numpy as np
@@ -32,7 +31,7 @@ from sparsecp.tensorio import (
     write_metrics_csv,
 )
 
-from oracles import nonzero_fibers
+from oracles import nonzero_fibers, traced_peak
 
 
 def tensor_file(tmp_path, body, name="t.tnsr"):
@@ -112,12 +111,7 @@ def test_ingest_memory_follows_entries(tmp_path):
     j, k = s.cmap.block_coords(J)
     entries = [(i, j[q], k[q], s.Y[i, q]) for q in range(s.cmap.p) for i in range(n)]
     path = entries_file(tmp_path, (n, J, K), entries)
-    tracemalloc.start()
-    try:
-        back = ingest_tensor(path)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    back, peak = traced_peak(lambda: ingest_tensor(path))
     assert back.cmap.p == s.cmap.p > 0
     assert np.array_equal(back.Y, s.Y)
     assert peak < n * J * K * 8

@@ -4,7 +4,6 @@ import math
 import pkgutil
 import re
 import time
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -41,7 +40,7 @@ from sparsecp.tensor_core import (
     mode1_unfold,
 )
 
-from oracles import independent_column_indices, nonzero_fibers
+from oracles import independent_column_indices, nonzero_fibers, traced_peak
 
 TINY = 1e-300  # effectively "never stop on eps_T"
 
@@ -249,12 +248,7 @@ def test_run_allocates_no_dense_sample_or_code_matrix():
     cfg = SolverConfig(
         n=50, J=300, K=300, m=10, alpha=0.01, beta=0.01, eta_A=20.0, T_max=2, seed=3,
     )
-    tracemalloc.start()
-    try:
-        res = run_online(cfg)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    res, peak = traced_peak(lambda: run_online(cfg))
     assert res.iterations == 2 and min(r.p for r in res.records) > 0
     assert peak < cfg.m * cfg.J * cfg.K * 8
 
@@ -286,22 +280,27 @@ def test_loop_validates_each_sample_once(monkeypatch):
 
 def test_iteration_peak_stays_within_three_samples():
     # J = K = 1000 gives p of about 5k fibers; one n x p float64 array is
-    # about 80 MB, and the sample plus one residual fit under 3 of them
-    cfg = SolverConfig(
-        n=2000, J=1000, K=1000, m=50, alpha=0.01, beta=0.01, T_max=1, seed=1,
-    )
-    source = SyntheticSource(cfg)
-    A0 = source.initial_dictionary()
-    source.initial_dictionary = lambda: A0
-    tracemalloc.start()
-    try:
-        res = run_online(cfg, source)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    p = res.records[0].p
-    assert p > 1000
-    assert peak <= 3 * cfg.n * p * 8, peak / (cfg.n * p * 8)
+    # about 80 MB, and the sample plus one residual fit under 3 of them.
+    # Three iterations of the dense_codes shape check the steady state: a
+    # sample is drawn only once the last one, its residual and its scoring
+    # arrays are gone.
+    cases = [
+        SolverConfig(n=2000, J=1000, K=1000, m=50, alpha=0.01, beta=0.01, T_max=1, seed=1),
+        SolverConfig(n=300, J=100, K=100, m=50, alpha=0.05, beta=0.05, T_max=3, eps_T=TINY,
+                     seed=1),
+    ]
+
+    def traced_run(cfg):
+        source = SyntheticSource(cfg)
+        A0 = source.initial_dictionary()  # set-up: perturb_init is not the loop's
+        source.initial_dictionary = lambda: A0
+        return traced_peak(lambda: run_online(cfg, source))
+
+    for cfg in cases:
+        res, peak = traced_run(cfg)
+        p_max = max(r.p for r in res.records)
+        assert res.iterations == cfg.T_max and p_max > 1000
+        assert peak <= 3 * cfg.n * p_max * 8, (cfg.J, peak / (cfg.n * p_max * 8))
 
 
 def test_all_nonzero_mode_passes_codes_and_residual_uncopied(monkeypatch):
