@@ -20,7 +20,7 @@ import os
 import sys
 
 from .metrics import align_columns, column_errors, match_columns, rel_frobenius
-from .runner import FileSource, RunResult, SolverConfig, run_online
+from .runner import FileSource, RunMode, RunResult, SolverConfig, run_online
 from .tensorio import (
     center_nonzero_fibers,
     emit_outputs,
@@ -98,13 +98,16 @@ def _load_tensor(path, steps):
 
 def _cmd_decompose(args) -> int:
     steps = [step for flag, step, _ in _PREPROCESS if getattr(args, flag.replace("-", "_"))]
-    tensors = [_load_tensor(path, steps) for path in args.tensor]
-    n, J, K = tensors[0].shape
+    first = _load_tensor(args.tensor[0], steps)
+    n, J, K = first.shape
     # file sources have no generative sparsity; alpha/beta are inert here
     defaults = {
         "n": str(n), "J": str(J), "K": str(K), "alpha": "0.5", "beta": "0.5",
     }
     cfg = _collect_config(args, defaults)
+    if cfg.mode is RunMode.BATCH and len(args.tensor) > 1:  # batch mode learns from one sample
+        raise ValueError(f"batch mode takes one tensor file, got {len(args.tensor)}")
+    tensors = [first, *(_load_tensor(path, steps) for path in args.tensor[1:])]
     want = (cfg.n, cfg.J, cfg.K)
     for path, sample in zip(args.tensor, tensors):
         if tuple(sample.shape) != want:
@@ -155,7 +158,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_synth_run)
 
     p = subs.add_parser("decompose", parents=[out], help="run against TNSR3 tensor files")
-    p.add_argument("tensor", nargs="+", help="TNSR3 files, one per iteration")
+    p.add_argument("tensor", nargs="+", help="TNSR3 files, one per iteration (one in batch mode)")
     _add_config_flags(p)
     for flag, _step, text in _PREPROCESS:
         p.add_argument(f"--{flag}", action="store_true", help=text)

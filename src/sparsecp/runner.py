@@ -71,6 +71,7 @@ __all__ = [
     "SolverConfig",
     "IterationRecord",
     "RunResult",
+    "TensorSource",
     "SyntheticSource",
     "FileSource",
     "run_online",

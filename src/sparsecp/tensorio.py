@@ -36,6 +36,7 @@ __all__ = [
     "write_matrix_csv",
     "parse_config_file",
     "write_config_echo",
+    "write_metrics_csv",
     "emit_outputs",
     "METRICS_HEADER",
 ]

@@ -436,6 +436,26 @@ def test_decompose_shape_mismatch_names_file(tmp_path, capsys):
     assert not (tmp_path / "d").exists()
 
 
+def test_decompose_batch_mode_takes_one_file(tmp_path, capsys):
+    # batch mode learns from the first sample alone, so further files are an
+    # error before any is read: a malformed second file fails on the count
+    paths = write_planted_files(tmp_path, 3, 50)
+    bad = tmp_path / "bad.tnsr"
+    bad.write_text("TNSR3 30 12 12\n1 1 1 abc\n", encoding="utf-8")
+    base = ["decompose", "--m", "4", "--eta_A", "4.0", "--mode", "batch", "--T_max", "3"]
+    for files, count in ((paths, 3), ([paths[0], str(bad)], 2)):
+        out = tmp_path / f"batch{count}"
+        assert main([*base, *files, "--out", str(out)]) == 1
+        assert capsys.readouterr().err == (
+            f"error: batch mode takes one tensor file, got {count}\n"
+        )
+        assert not out.exists()
+    out = tmp_path / "batch1"
+    assert main([*base, paths[0], "--out", str(out)]) == 2
+    assert capsys.readouterr().out.startswith("stopped t=2 ")
+    assert (out / "metrics.csv").is_file()
+
+
 def test_decompose_missing_file(tmp_path, capsys):
     code = main(["decompose", str(tmp_path / "nope.tnsr"), "--m", "2"])
     assert code == 1
@@ -536,6 +556,16 @@ def test_eval_command(tmp_path, capsys):
     assert "err_col_max=" in msg and "err_relF=" in msg
     val = float(msg.split("err_col_max=")[1].split()[0])
     assert val <= 1e-12
+
+
+def test_eval_rejects_mismatched_shapes(tmp_path, capsys):
+    est, ref = tmp_path / "est.csv", tmp_path / "ref.csv"
+    write_matrix_csv(est, np.eye(3))
+    write_matrix_csv(ref, np.eye(3, 2))
+    assert main(["eval", str(est), str(ref)]) == 1
+    assert capsys.readouterr().err == (
+        "error: Shape mismatch: estimate (3, 3) vs reference (3, 2)\n"
+    )
 
 
 def test_eval_rejects_matrix_without_columns(tmp_path, capsys):

@@ -471,6 +471,9 @@ def test_matrix_csv_errors(tmp_path):
     p.write_text("2;3\n", encoding="utf-8")
     with pytest.raises(ValueError, match=":1: expected 'rows,cols'"):
         read_matrix_csv(p)
+    p.write_text("-1,2\n", encoding="utf-8")
+    with pytest.raises(ValueError, match="bad.csv:1: negative dimensions in header$"):
+        read_matrix_csv(p)
     p.write_text("2,2\n1.0,2.0\n", encoding="utf-8")
     with pytest.raises(ValueError, match="says 2 rows, found 1"):
         read_matrix_csv(p)

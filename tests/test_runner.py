@@ -721,6 +721,13 @@ def test_config_validation():
     with pytest.raises(ValueError, match="^seed must be >= 0, got -1$"):
         cfg_small(seed=-1)
     assert cfg_small(seed=0).seed == 0
+    with pytest.raises(ValueError, match="^R must be >= 0, got -1$"):
+        cfg_small(R=-1)
+    # eta_x = 1 is a valid step, but the default R rule needs eta_x < 1
+    with pytest.raises(ValueError, match=re.escape(
+            "The default step-count rule needs 0 < eta_x < 1, got 1.0; pass R explicitly")):
+        cfg_small(eta_x=1.0)
+    assert cfg_small(eta_x=1.0, R=5).R == 5
 
 
 def test_bounded_subgaussian_code_entries_below_tau_are_rejected():
