@@ -96,10 +96,16 @@ def _load_tensor(path, steps):
     return scale_to_unit_fibers(sample)  # the codes' unit magnitude, whatever the file's units
 
 
+def _checked(path, sample, want):
+    if tuple(sample.shape) != want:
+        raise ValueError(f"{path}: tensor has shape {sample.shape}, config says {want}")
+    return sample
+
+
 def _cmd_decompose(args) -> int:
     steps = [step for flag, step, _ in _PREPROCESS if getattr(args, flag.replace("-", "_"))]
-    first = _load_tensor(args.tensor[0], steps)
-    n, J, K = first.shape
+    head = [_load_tensor(args.tensor[0], steps)]  # popped as sample 0: no name keeps it after
+    n, J, K = head[0].shape
     # file sources have no generative sparsity; alpha/beta are inert here
     defaults = {
         "n": str(n), "J": str(J), "K": str(K), "alpha": "0.5", "beta": "0.5",
@@ -107,12 +113,10 @@ def _cmd_decompose(args) -> int:
     cfg = _collect_config(args, defaults)
     if cfg.mode is RunMode.BATCH and len(args.tensor) > 1:  # batch mode learns from one sample
         raise ValueError(f"batch mode takes one tensor file, got {len(args.tensor)}")
-    tensors = [first, *(_load_tensor(path, steps) for path in args.tensor[1:])]
     want = (cfg.n, cfg.J, cfg.K)
-    for path, sample in zip(args.tensor, tensors):
-        if tuple(sample.shape) != want:
-            raise ValueError(f"{path}: tensor has shape {sample.shape}, config says {want}")
-    return _finish(run_online(cfg, FileSource(cfg, tensors)), cfg, args.out)
+    samples = (_checked(path, head.pop() if head else _load_tensor(path, steps), want)
+               for path in args.tensor)  # file t is read when iteration t asks for it
+    return _finish(run_online(cfg, FileSource(cfg, samples)), cfg, args.out)
 
 
 def _cmd_untangle(args) -> int:

@@ -284,9 +284,9 @@ class RunResult:
 
 
 class TensorSource(Protocol):
-    """instance(t) gives iteration t's sample and its ground truth (None
-    without one), or None once the input is exhausted (an error at t = 0). In batch
-    mode run_online calls instance(0) only; it checks each sample it takes."""
+    """instance(t) gives iteration t's sample and its ground truth (None without
+    one), or None once the input is exhausted (an error at t = 0). run_online asks
+    for t = 0, 1, 2, ... in order (batch mode: 0 only) and checks each sample."""
 
     def initial_dictionary(self) -> np.ndarray: ...
 
@@ -320,21 +320,23 @@ class SyntheticSource:
 
 
 class FileSource:
-    """Feeds pre-loaded FiberSamples in order, unchecked; exhaustion ends the run.
-
-    The initial dictionary is random unit columns under the run seed.
-    """
+    """Hands out the next FiberSample of an iterable at each instance(t), unchecked,
+    and holds none of them itself; exhaustion ends the run. instance is asked for
+    in order, so the iterable may read each file at its own iteration. The initial
+    dictionary is random unit columns under the run seed."""
 
     def __init__(self, cfg: SolverConfig, tensors: Iterable[FiberSample]):
         self._cfg = cfg
-        self._tensors = list(tensors)
+        self._tensors = iter(tensors)
 
     def initial_dictionary(self) -> np.ndarray:
         root = np.random.SeedSequence(self._cfg.seed)
         return gen_dictionary(self._cfg.n, self._cfg.m, child_seed(root, 0))
 
     def instance(self, t: int):
-        return (self._tensors[t], None) if t < len(self._tensors) else None
+        for sample in self._tensors:  # the next one, whatever it is: run_online checks it
+            return sample, None
+        return None
 
 
 def _min_descent_correlation(g, A_prev, A_star, align, used, eps_T) -> float:

@@ -264,8 +264,10 @@ def scale_to_unit_fibers(sample: FiberSample) -> FiberSample:
     peak = float(np.abs(sample.Y).max(initial=0.0))
     if peak == 0.0:
         return sample
-    norms = column_norms(sample.Y / peak)  # |Y / peak| <= 1: no square overflows, none near 1 vanishes
-    return replace(sample, Y=sample.Y / (np.median(norms[norms > 0.0]) * peak))
+    Y = sample.Y / peak  # |Y / peak| <= 1: no square overflows, none near 1 vanishes
+    norms = column_norms(Y)
+    Y /= np.median(norms[norms > 0.0])  # by the peak first: median * peak can overflow
+    return replace(sample, Y=Y)
 
 
 # Matrix CSV ---------------------------------------------------------------

@@ -1,3 +1,4 @@
+import json
 import re
 from dataclasses import fields
 
@@ -23,6 +24,8 @@ from sparsecp.tensorio import (
     read_matrix_csv,
     write_matrix_csv,
 )
+from child import run_python
+from oracles import traced_peak
 
 FAST = [
     "--n", "40", "--J", "15", "--K", "15", "--m", "6",
@@ -341,10 +344,13 @@ def test_decompose_runs_each_preprocessing_flag(tmp_path, capsys, flag, peak):
     ids=["log2-range"],
 )
 def test_decompose_preprocessing_error_names_file(tmp_path, capsys, flag, body, message):
+    # each file is read at its own iteration: the run needs a step size for
+    # m=2, and must not converge on the one-entry good file, to reach the bad one
     good, bad = tmp_path / "good.tnsr3", tmp_path / "bad.tnsr3"
     good.write_text("TNSR3 2 2 2\n1 1 1 4.0\n", encoding="utf-8")
     bad.write_text(f"TNSR3 2 2 2\n{body}", encoding="utf-8")
-    code = main(["decompose", str(good), str(bad), "--m", "2", flag, "--out", str(tmp_path / "d")])
+    code = main(["decompose", str(good), str(bad), "--m", "2", "--eta_A", "1",
+                 "--eps_T", "1e-300", flag, "--out", str(tmp_path / "d")])
     assert code == 1
     assert capsys.readouterr().err == f"error: {bad}: {message}\n"
     assert not (tmp_path / "d").exists()
@@ -422,6 +428,51 @@ def test_auto_has_no_synonyms(tmp_path, capsys, key, value):
     err = capsys.readouterr().err
     assert err.startswith(f"error: Bad value for config key {key}: {value!r} ("), err
     assert not (tmp_path / "x").exists()
+
+
+def test_decompose_holds_one_file_at_a_time(tmp_path, capsys):
+    # each file is read at its own iteration and dropped after it, so 20 files
+    # peak within one sample of 2 (reading them all first grows by one per file)
+    n, J, K, m = 100, 30, 30, 4
+    Z, _ = gen_tensor_instance(n, J, K, m, SparsityParams(0.15, 0.15),
+                               Distribution.RADEMACHER, 1.0, gen_dictionary(n, m, 2), 3)
+    path = tmp_path / "z.tnsr"
+    write_tnsr(path, Z)
+
+    def peak(count):
+        args = ["decompose", *[str(path)] * count, "--m", str(m), "--eta_A", "4.0",
+                "--eps_T", "1e-300", "--out", str(tmp_path / f"d{count}")]
+        code, peak = traced_peak(lambda: main(args))
+        assert code == 2 and capsys.readouterr().out.startswith(f"stopped t={count - 1} ")
+        return peak
+
+    peak(2)  # first-call imports and caches stay out of the comparison
+    sample_bytes = n * int(Z.any(axis=0).sum()) * 8
+    assert peak(20) - peak(2) < sample_bytes
+
+
+def test_output_bytes_match_across_processes(tmp_path):
+    # the determinism contract is per build and BLAS thread count: two fresh
+    # interpreters at one thread, with different hash seeds, write the same
+    # bytes for a synth-run and a two-file decompose
+    files = write_planted_files(tmp_path, 2, 50)
+    runs = {
+        "synth": ["synth-run", *FAST, "--T_max", "5"],
+        "files": ["decompose", *files, "--m", "4", "--eta_A", "4.0", "--eps_T", "1e-300"],
+    }
+    script = "import json, sys; from sparsecp.cli import main; " \
+             "print([main(argv) for argv in json.loads(sys.argv[1])])"
+    outputs = []
+    for hash_seed in ("1", "2"):
+        argvs = [[*argv, "--out", str(tmp_path / f"{name}{hash_seed}")]
+                 for name, argv in runs.items()]
+        proc = run_python(["-c", script, json.dumps(argvs)], cwd=tmp_path,
+                          env={"OPENBLAS_NUM_THREADS": "1", "PYTHONHASHSEED": hash_seed})
+        assert proc.returncode == 0 and proc.stdout.endswith("[2, 2]\n"), proc.stderr
+        outputs.append([_outputs(tmp_path / f"{name}{hash_seed}") for name in runs])
+    assert [sorted(out) for out in outputs[0]] == [
+        ["A.csv", "B.csv", "C.csv", "config.txt", "metrics.csv"]] * 2
+    assert outputs[0] == outputs[1]
 
 
 def test_decompose_shape_mismatch_names_file(tmp_path, capsys):

@@ -426,6 +426,14 @@ def test_scale_to_unit_fibers():
         assert np.array_equal(scale_to_unit_fibers(sample_of(Z * 2.0**k)).Y, want)
     for c in (0.3, 1e200, 1e-200):
         assert np.allclose(scale_to_unit_fibers(sample_of(Z * c)).Y, want, rtol=1e-14, atol=0.0)
+    # one fiber of four 1e308 entries has median norm 2e308: dividing by the peak
+    # first keeps that product from overflowing to inf and zeroing every entry;
+    # its power-of-two scales still give the same bits
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for k in (0, -1, -60, -1000):
+            out = scale_to_unit_fibers(sample_of(np.full((4, 1, 1), 1e308 * 2.0**k)))
+            assert np.array_equal(out.Y, np.full((4, 1), 0.5))
 
 
 def test_center_nonzero_fibers():

@@ -4,6 +4,7 @@ import math
 import pkgutil
 import re
 import time
+import weakref
 
 import numpy as np
 import pytest
@@ -366,6 +367,27 @@ def test_file_source_exhaustion():
     assert [r.t for r in res.records] == [0, 1, 2, 3]
 
 
+@pytest.mark.parametrize("mode, pulls", [(RunMode.ONLINE, 3), (RunMode.BATCH, 1)])
+def test_file_source_pulls_each_sample_at_its_iteration(mode, pulls):
+    # a 5-sample stream under T_max=3: the source takes sample t only when
+    # iteration t asks for it, and nothing holds sample t-1 (or its Y) by then
+    cfg = cfg_small(T_max=3, mode=mode)
+    A = perturb_init(FileSource(cfg, []).initial_dictionary(), 0.1, 11)  # so no step is idle
+    sp = SparsityParams(cfg.alpha, cfg.beta)
+    refs, alive = [], []
+
+    def pull(t):
+        alive.append([r() is not None for pair in refs for r in pair])
+        sample = cp_fibers(A, *gen_factor_pair(cfg.J, cfg.K, cfg.m, sp, Distribution.RADEMACHER,
+                                               cfg.C_lb, 1000 + t))
+        refs.append((weakref.ref(sample), weakref.ref(sample.Y)))
+        return sample
+
+    res = run_online(cfg, FileSource(cfg, (pull(t) for t in range(5))))
+    assert res.iterations == 3 and res.idle_iterations == 0 and len(refs) == pulls
+    assert alive == [[False] * 2 * t for t in range(pulls)]
+
+
 def spy_on_iht(monkeypatch):
     """Record the Y of every runner.iht call."""
     coded = []
@@ -394,7 +416,8 @@ class BareSampleSource(FileSource):
     """Gives the bare sample where a (sample, truth) pair belongs."""
 
     def instance(self, t):
-        return self._tensors[t] if t < len(self._tensors) else None
+        inst = super().instance(t)
+        return None if inst is None else inst[0]
 
 
 def test_run_checks_each_sample_where_it_enters(monkeypatch):
@@ -409,10 +432,12 @@ def test_run_checks_each_sample_where_it_enters(monkeypatch):
         with pytest.raises(ValueError, match=re.escape(expect)):
             run_online(cfg, FileSource(cfg, [good, sample_of(np.ones(shape))]))
         assert len(coded) == 1 and coded[0] is good.Y  # only iteration 0 was coded
-    coded.clear()
-    with pytest.raises(TypeError, match="Sample at iteration 1 is a ndarray, not a FiberSample"):
-        run_online(cfg, FileSource(cfg, [good, np.ones((cfg.n, 15, 12))]))
-    assert len(coded) == 1
+    for bad in (np.ones((cfg.n, 15, 12)), None):  # a None sample is not the end of the input
+        coded.clear()
+        kind = type(bad).__name__
+        with pytest.raises(TypeError, match=f"Sample at iteration 1 is a {kind}, not a FiberSample"):
+            run_online(cfg, FileSource(cfg, [good, bad]))
+        assert len(coded) == 1
     for source in (FileSource(cfg, []), EmptySource(cfg)):
         with pytest.raises(ValueError, match="The source gave no sample at iteration 0"):
             run_online(cfg, source)
