@@ -141,6 +141,8 @@ def _cmd_eval(args) -> int:
         )
     if est.shape[1] == 0:
         raise ValueError(f"{args.estimate}: matrix has no columns")
+    if est.shape[0] == 0:
+        raise ValueError(f"{args.estimate}: matrix has no rows")
     align = match_columns(est, ref)
     errs = column_errors(est, ref, align)
     relF = rel_frobenius(align_columns(est, align), ref)

@@ -19,7 +19,7 @@ import os
 import stat
 import warnings
 from dataclasses import fields, replace
-from typing import NoReturn, Sequence, get_type_hints
+from typing import Iterator, Sequence, get_type_hints
 
 import numpy as np
 
@@ -50,8 +50,12 @@ _COLUMNS["wall_ms"] = lambda v: "0"
 METRICS_HEADER = ",".join(_COLUMNS)
 
 
-def _strip_comment(line: str) -> str:
-    return line.split("#", 1)[0].strip()
+def _significant(lines, start: int = 1) -> Iterator[tuple[int, str]]:
+    """Yield (lineno, text) for each line with text left once its `#` comment is cut."""
+    for lineno, rawline in enumerate(lines, start=start):
+        text = rawline.split("#", 1)[0].strip()
+        if text:
+            yield lineno, text
 
 
 _ENTRY = np.dtype([("i", "i8"), ("j", "i8"), ("k", "i8"), ("v", "f8")])
@@ -59,10 +63,7 @@ _ENTRY = np.dtype([("i", "i8"), ("j", "i8"), ("k", "i8"), ("v", "f8")])
 
 def _read_header(fh, path) -> tuple[tuple[int, int, int], int]:
     """Read fh up to its first significant line; return the shape and that line's number."""
-    for lineno, rawline in enumerate(fh, start=1):
-        text = _strip_comment(rawline)
-        if not text:
-            continue
+    for lineno, text in _significant(fh):
         tokens = text.split()
         if tokens[0] != "TNSR3" or len(tokens) != 4:
             raise ValueError(
@@ -74,17 +75,16 @@ def _read_header(fh, path) -> tuple[tuple[int, int, int], int]:
             raise ValueError(f"{path}:{lineno}: non-integer dimension in header {text!r}")
         if any(d < 1 for d in shape):
             raise ValueError(f"{path}:{lineno}: dimensions must be >= 1, got {shape}")
-        n, J, K = shape
-        if n * J * K >= 2**63:
+        if math.prod(shape) >= 2**63:
             raise ValueError(f"{path}:{lineno}: shape {shape} is too large to index")
         return shape, lineno
     raise ValueError(f"{path}: empty file, expected a TNSR3 header")
 
 
-def _check_entry(path, lineno: int, text: str, shape, seen: set[int]) -> None:
-    """Apply the entry-line rules to one significant line; raise on the first broken one.
+def _check_entry(path, lineno: int, text: str, shape, seen: set[int]) -> tuple:
+    """Apply the entry-line rules to one significant line; return its (i, j, k, value).
 
-    seen holds the flat indices of the entries before this line.
+    Raises on the first broken rule; seen holds the flat indices of the entries before it.
     """
     n, J, K = shape
     tokens = text.split()
@@ -107,6 +107,7 @@ def _check_entry(path, lineno: int, text: str, shape, seen: set[int]) -> None:
     if flat in seen:
         raise ValueError(f"{path}:{lineno}: duplicate coordinate ({i}, {j}, {k})")
     seen.add(flat)
+    return i, j, k, value
 
 
 def _decode(path, raw: bytes) -> str:
@@ -128,22 +129,26 @@ def _read_lines(path) -> list[str]:
         return io.StringIO(_decode(path, fh.read()), newline=None).readlines()
 
 
-def _raise_first_bad_line(path, held: str | None) -> NoReturn:
-    """Walk the file line by line and raise the error of its first bad line.
+def _read_entries(path, held: str | None) -> tuple[tuple[int, int, int], np.ndarray]:
+    """The reference reader: return (shape, _ENTRY entries) or raise the first bad line's error.
 
-    held is the file's text when it was read into memory, else None and
-    the (regular) file is read again.
+    held is the file's text when it was read into memory, else None and the file is read again.
     """
-    seen: set[int] = set()
     lines = iter(_read_lines(path) if held is None else io.StringIO(held, newline=None))
     shape, head = _read_header(lines, path)
-    for lineno, rawline in enumerate(lines, start=head + 1):
-        text = _strip_comment(rawline)
-        if text:
-            _check_entry(path, lineno, text, shape, seen)
-    raise RuntimeError(
-        f"{path}: the bulk reader rejected the file, but no line breaks the TNSR3 rules"
-    )
+    seen: set[int] = set()
+    entries = [_check_entry(path, lineno, text, shape, seen)
+               for lineno, text in _significant(lines, start=head + 1)]
+    return shape, np.array(entries, dtype=_ENTRY)
+
+
+def _obeys_entry_rules(rec, shape) -> bool:
+    """True when every entry is finite, inside the 1-based shape and at a coordinate of its own."""
+    n, J, K = shape
+    i, j, k = rec["i"], rec["j"], rec["k"]
+    in_shape = ((i >= 1) & (i <= n) & (j >= 1) & (j <= J) & (k >= 1) & (k <= K)).all()
+    ordered = np.sort(((k - 1) * J + j - 1) * n + i - 1)
+    return bool(in_shape and np.isfinite(rec["v"]).all() and (ordered[1:] != ordered[:-1]).all())
 
 
 # the suffixes np.loadtxt's file opener reads as compressed, whatever the bytes
@@ -182,39 +187,31 @@ def ingest_tensor(path) -> FiberSample:
     not kept. Memory follows the listed entries, not n*J*K.
 
     The entry lines are parsed in one np.loadtxt call and checked as a
-    whole; only a rejected file is walked again line by line, to name
-    its first bad line. A regular file goes to loadtxt by name, so numpy
-    reads it in chunks in C; any other input (a pipe, a name with a
-    compression suffix) is read into memory once and parsed from there.
+    whole; a file that loadtxt rejects (by an exception, or a warning as for
+    no entries) or whose entries break a rule goes to the line-by-line
+    reference reader, which returns its entries or names its first bad line.
+    A regular file goes to loadtxt by name, so numpy reads it in chunks in
+    C; a pipe or a name with a compression suffix is read into memory once.
     """
     with open(path, encoding="utf-8") as fh:
         held = None if _reopenable(path) else _decode(path, fh.buffer.read())
         src = fh if held is None else io.StringIO(held, newline=None)
         try:
             shape, head = _read_header(src, path)
-            first = next((line for line in src if _strip_comment(line)), None)
-            if first is None:
-                rec = np.empty(0, dtype=_ENTRY)  # header only: loadtxt would warn
-            else:
-                src.seek(0)  # only an in-memory src is read again
-                with warnings.catch_warnings():
-                    warnings.simplefilter("error")
-                    rec = np.loadtxt(
-                        path if held is None else src, dtype=_ENTRY, comments="#",
-                        skiprows=head, ndmin=1, encoding="utf-8",
-                    )
+            src.seek(0)  # only an in-memory src is read again
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                rec = np.loadtxt(
+                    path if held is None else src, dtype=_ENTRY, comments="#",
+                    skiprows=head, ndmin=1, encoding="utf-8",
+                )
         except (ValueError, Warning):  # UnicodeDecodeError included
-            _raise_first_bad_line(path, held)
+            rec = None
+    if rec is None or not _obeys_entry_rules(rec, shape):
+        shape, rec = _read_entries(path, held)
     n, J, K = shape
     i, j, k, vals = rec["i"], rec["j"], rec["k"], rec["v"]
     key = ((k - 1) * J + j - 1) * n + i - 1
-    ordered = np.sort(key)
-    if not (
-        np.isfinite(vals).all()
-        and ((i >= 1) & (i <= n) & (j >= 1) & (j <= J) & (k >= 1) & (k <= K)).all()
-        and (ordered[1:] != ordered[:-1]).all()
-    ):
-        _raise_first_bad_line(path, held)
     key, vals = key[vals != 0.0], vals[vals != 0.0]
     fiber = key // n
     kept, col = np.unique(fiber, return_inverse=True)
@@ -327,10 +324,7 @@ def parse_config_file(path) -> dict[str, str]:
     SolverConfig's job.
     """
     out: dict[str, str] = {}
-    for lineno, rawline in enumerate(_read_lines(path), start=1):
-        text = _strip_comment(rawline)
-        if not text:
-            continue
+    for lineno, text in _significant(_read_lines(path)):
         if "=" not in text:
             raise ValueError(f"{path}:{lineno}: expected key=value, got {text!r}")
         key, value = text.split("=", 1)

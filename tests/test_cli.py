@@ -624,3 +624,11 @@ def test_eval_rejects_matrix_without_columns(tmp_path, capsys):
     empty.write_text("0,0\n", encoding="utf-8")
     assert main(["eval", str(empty), str(empty)]) == 1
     assert capsys.readouterr().err == f"error: {empty}: matrix has no columns\n"
+
+
+def test_eval_rejects_matrix_without_rows(tmp_path, capsys):
+    # named before matching, as untangle does, not as a zero-norm reference
+    empty = tmp_path / "E.csv"
+    empty.write_text("0,3\n", encoding="utf-8")
+    assert main(["eval", str(empty), str(empty)]) == 1
+    assert capsys.readouterr().err == f"error: {empty}: matrix has no rows\n"

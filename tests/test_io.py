@@ -2,11 +2,13 @@ import os
 import re
 import threading
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from sparsecp import tensorio
 from sparsecp.dict_update import SampleMode
 from sparsecp.runner import (
     FileSource,
@@ -53,6 +55,23 @@ def entries_file(tmp_path, shape, entries, name="t.tnsr"):
 
 
 # ingest_tensor -----------------------------------------------------------
+
+
+@pytest.fixture
+def bulk_reader_only(monkeypatch):
+    """Fail the test when a file with an entry line reaches the reference reader.
+
+    Every valid file with entries is np.loadtxt's to parse; the line-by-line
+    reader is for files the bulk reader turns away.
+    """
+    real = tensorio._read_entries
+
+    def spy(path, held):
+        shape, entries = real(path, held)
+        assert entries.size == 0, f"{path} has entry lines, but the bulk reader turned it away"
+        return shape, entries
+
+    monkeypatch.setattr(tensorio, "_read_entries", spy)
 
 
 def test_ingest_basic(tmp_path):
@@ -159,6 +178,7 @@ EMPTY_VARIANTS = {
 }
 
 
+@pytest.mark.usefixtures("bulk_reader_only")
 @pytest.mark.parametrize("name", sorted(LAYOUT_VARIANTS))
 def test_ingest_layout_variants(tmp_path, name):
     path = tmp_path / "t.tnsr"
@@ -179,6 +199,18 @@ def test_ingest_entry_free_files_are_zero_tensors(tmp_path, name):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         s = ingest_tensor(path)
+    assert s.shape == (2, 3, 4)
+    assert s.cmap.p == 0 and s.cmap.total_cols == 12 and s.Y.shape == (2, 0)
+
+
+@pytest.mark.parametrize("name", sorted(EMPTY_VARIANTS))
+def test_ingest_entry_free_files_take_the_reference_reader(tmp_path, name):
+    # np.loadtxt warns on a file with no entry line, so the reference reader reads it
+    path = tmp_path / "t.tnsr"
+    path.write_bytes(EMPTY_VARIANTS[name].encode("utf-8"))
+    with mock.patch.object(tensorio, "_read_entries", wraps=tensorio._read_entries) as spy:
+        s = ingest_tensor(path)
+    assert spy.call_count == 1
     assert s.shape == (2, 3, 4)
     assert s.cmap.p == 0 and s.cmap.total_cols == 12 and s.Y.shape == (2, 0)
 
@@ -225,6 +257,7 @@ def write_lines(tmp_path, lines, newline, end=True):
     return path
 
 
+@pytest.mark.usefixtures("bulk_reader_only")
 @settings(max_examples=80, deadline=None)
 @given(tnsr3_texts(), st.booleans())
 def test_ingest_random_valid_file_matches_dense_reference(tmp_path_factory, text, end):
@@ -301,7 +334,7 @@ def test_ingest_random_corruption_names_its_line(tmp_path_factory, text, data):
     lines = lines.copy()
     lines[row] = " ".join(tokens)
     path = write_lines(tmp_path_factory.mktemp("bad"), lines, newline)
-    # a RuntimeError here would be a bulk rejection the line checker cannot name
+    # whichever check turned the file away, the reference reader names the line
     with pytest.raises(ValueError, match=f":{row + 1}: .*{re.escape(expect)}"):
         ingest_tensor(path)
 

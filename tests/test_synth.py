@@ -192,6 +192,12 @@ def test_perturb_init_validates():
         perturb_init(2.0 * A, 0.5, rng_seed=0)
 
 
+def test_perturb_init_gives_up_without_an_orthogonal_direction():
+    # a unit column in R^1 has no orthogonal direction: every redraw is degenerate
+    with pytest.raises(RuntimeError, match="^Could not draw a direction orthogonal to column 0$"):
+        perturb_init(np.ones((1, 3)), 0.5, 0)
+
+
 def test_perturb_init_within_closeness():
     A = gen_dictionary(100, 20, 6)
     for seed in range(50):
