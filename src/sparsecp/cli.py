@@ -3,7 +3,6 @@
 Subcommands:
   synth-run   online run against the synthetic generator
   decompose   online/batch run against TNSR3 tensor files
-  untangle    split a saved coding matrix into its two paired factors
   eval        compare two factor CSVs after sign/permutation alignment
 
 Every SolverConfig field is exposed as a --flag of the same name; --config
@@ -16,7 +15,6 @@ without converging, 1 on any error, usage errors included.
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 
 from .metrics import align_columns, column_errors, match_columns, rel_frobenius
@@ -29,9 +27,7 @@ from .tensorio import (
     preprocess_dynamic_range,
     read_matrix_csv,
     scale_to_unit_fibers,
-    write_matrix_csv,
 )
-from .untangle import untangle_krp
 
 __all__ = ["main"]
 
@@ -119,19 +115,6 @@ def _cmd_decompose(args) -> int:
     return _finish(run_online(cfg, FileSource(cfg, samples)), cfg, args.out)
 
 
-def _cmd_untangle(args) -> int:
-    S = read_matrix_csv(args.matrix)
-    if S.shape[0] == 0:
-        raise ValueError(f"{args.matrix}: matrix has no rows")
-    unf = untangle_krp(S, args.J, args.K)
-    os.makedirs(args.out, exist_ok=True)
-    write_matrix_csv(os.path.join(args.out, "B.csv"), unf.B)
-    write_matrix_csv(os.path.join(args.out, "C.csv"), unf.C)
-    degen = len(unf.degenerate_rows)
-    print(f"untangled {S.shape[0]} rows ({degen} degenerate) -> {args.out}")
-    return 0
-
-
 def _cmd_eval(args) -> int:
     est = read_matrix_csv(args.estimate)
     ref = read_matrix_csv(args.reference)
@@ -169,12 +152,6 @@ def build_parser() -> argparse.ArgumentParser:
     for flag, _step, text in _PREPROCESS:
         p.add_argument(f"--{flag}", action="store_true", help=text)
     p.set_defaults(func=_cmd_decompose)
-
-    p = subs.add_parser("untangle", parents=[out], help="split a coding matrix into B and C")
-    p.add_argument("matrix", help="matrix CSV with J*K columns")
-    p.add_argument("--J", type=int, required=True, help="first paired dimension")
-    p.add_argument("--K", type=int, required=True, help="second paired dimension")
-    p.set_defaults(func=_cmd_untangle)
 
     p = subs.add_parser("eval", help="aligned error report between two factor CSVs")
     p.add_argument("estimate")

@@ -480,7 +480,11 @@ def run_online(cfg: SolverConfig, source: TensorSource | None = None) -> RunResu
     start = time.perf_counter()
     if source is None:
         source = SyntheticSource(cfg)
-    A = as_matrix(source.initial_dictionary(), rows=cfg.n, cols=cfg.m)
+    A = source.initial_dictionary()  # a config error (no default eps0) is raised as it is
+    try:
+        A = as_matrix(A, rows=cfg.n, cols=cfg.m)
+    except ValueError as exc:
+        raise ValueError(f"Initial dictionary: {exc}") from exc
     ihtp = cfg.iht_params()
     eta_A = cfg.resolved_eta_A()
     want = (cfg.n, cfg.J, cfg.K)

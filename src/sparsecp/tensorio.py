@@ -129,12 +129,9 @@ def _read_lines(path) -> list[str]:
         return io.StringIO(_decode(path, fh.read()), newline=None).readlines()
 
 
-def _read_entries(path, held: str | None) -> tuple[tuple[int, int, int], np.ndarray]:
-    """The reference reader: return (shape, _ENTRY entries) or raise the first bad line's error.
-
-    held is the file's text when it was read into memory, else None and the file is read again.
-    """
-    lines = iter(_read_lines(path) if held is None else io.StringIO(held, newline=None))
+def _read_entries(path) -> tuple[tuple[int, int, int], np.ndarray]:
+    """The reference reader: return (shape, _ENTRY entries) or raise the first bad line's error."""
+    lines = iter(_read_lines(path))
     shape, head = _read_header(lines, path)
     seen: set[int] = set()
     entries = [_check_entry(path, lineno, text, shape, seen)
@@ -156,11 +153,11 @@ _COMPRESSED_SUFFIXES = (".gz", ".bz2", ".xz", ".lzma")
 
 
 def _reopenable(path) -> bool:
-    """True when np.loadtxt, given the name, reads the same text as open() did.
+    """True when np.loadtxt, given the name, reads the same text as open() does.
 
     loadtxt opens a name again itself, picking a decompressor by suffix
     and a download for a URL; a pipe or FIFO yields its bytes to one
-    reader only.
+    reader only. Whatever is not reopenable goes to the reference reader.
     """
     name = os.fspath(path)
     return (
@@ -186,29 +183,26 @@ def ingest_tensor(path) -> FiberSample:
     grouped by fiber (j, k); a fiber whose listed values are all zero is
     not kept. Memory follows the listed entries, not n*J*K.
 
-    The entry lines are parsed in one np.loadtxt call and checked as a
-    whole; a file that loadtxt rejects (by an exception, or a warning as for
-    no entries) or whose entries break a rule goes to the line-by-line
-    reference reader, which returns its entries or names its first bad line.
-    A regular file goes to loadtxt by name, so numpy reads it in chunks in
-    C; a pipe or a name with a compression suffix is read into memory once.
+    A regular file's entry lines are parsed by name in one np.loadtxt
+    call, so numpy reads it in chunks in C, and checked as a whole. A file
+    that loadtxt rejects (by an exception, or a warning as for no entries)
+    or whose entries break a rule, and any pipe or name with a compression
+    suffix, goes to the line-by-line reference reader, which returns its
+    entries or names its first bad line.
     """
-    with open(path, encoding="utf-8") as fh:
-        held = None if _reopenable(path) else _decode(path, fh.buffer.read())
-        src = fh if held is None else io.StringIO(held, newline=None)
+    rec = None
+    if _reopenable(path):
         try:
-            shape, head = _read_header(src, path)
-            src.seek(0)  # only an in-memory src is read again
+            with open(path, encoding="utf-8") as fh:
+                shape, head = _read_header(fh, path)
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
-                rec = np.loadtxt(
-                    path if held is None else src, dtype=_ENTRY, comments="#",
-                    skiprows=head, ndmin=1, encoding="utf-8",
-                )
+                rec = np.loadtxt(path, dtype=_ENTRY, comments="#", skiprows=head, ndmin=1,
+                                 encoding="utf-8")
         except (ValueError, Warning):  # UnicodeDecodeError included
-            rec = None
+            pass  # the reference reader reads it or names its first bad line
     if rec is None or not _obeys_entry_rules(rec, shape):
-        shape, rec = _read_entries(path, held)
+        shape, rec = _read_entries(path)
     n, J, K = shape
     i, j, k, vals = rec["i"], rec["j"], rec["k"], rec["v"]
     key = ((k - 1) * J + j - 1) * n + i - 1
@@ -293,12 +287,13 @@ def read_matrix_csv(path) -> np.ndarray:
         raise ValueError(f"{path}:1: expected 'rows,cols' header, got {lines[0].strip()!r}")
     if rows < 0 or cols < 0:
         raise ValueError(f"{path}:1: negative dimensions in header")
-    body = [(no, ln.strip()) for no, ln in enumerate(lines[1:], start=2) if ln.strip()]
+    # a row of no columns is written as an empty line, so then every line is a row
+    body = [(no, ln.strip()) for no, ln in enumerate(lines[1:], start=2) if ln.strip() or not cols]
     if len(body) != rows:
         raise ValueError(f"{path}: header says {rows} rows, found {len(body)}")
     M = np.zeros((rows, cols), order="F")
     for r, (lineno, text) in enumerate(body):
-        parts = text.split(",")
+        parts = text.split(",") if text else []
         if len(parts) != cols:
             raise ValueError(
                 f"{path}:{lineno}: expected {cols} values, found {len(parts)}"

@@ -12,6 +12,8 @@ scalar_rank1_blocks sums each block's Gram and vector in Python loops,
 pinning rank1_blocks' summation order bit for bit. hard_threshold (iht's
 T_tau) and independent_column_indices (run_online's j == k selection)
 are the plain forms of rules the package applies inline.
+dense_reference_run is the paper's online loop as written, over the dense
+cube and every column, to check whole runs of run_online against.
 The checks at the end (spectral_norm, incoherence, closeness_check,
 descent_correlation) are used by tests only; unlike the references, they
 are built on the package's public functions. traced_peak is how every
@@ -25,8 +27,11 @@ import tracemalloc
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
-from sparsecp.linalg import column_norms, rank1_svd
-from sparsecp.metrics import Alignment, align_columns, column_errors, match_columns
+from sparsecp.dict_update import SampleMode
+from sparsecp.linalg import column_norms, normalize_columns, rank1_svd
+from sparsecp.metrics import Alignment, align_columns, align_rows, column_errors, match_columns
+from sparsecp.synth import child_seed, gen_dictionary, gen_factor_pair, perturb_init
+from sparsecp.tensor_core import cp_compose, mode1_unfold
 
 
 def jacobi_sigma1(M, sweeps: int = 60, tol: float = 1e-14) -> float:
@@ -277,6 +282,46 @@ def scalar_rank1_blocks(blocks, nr, nc):
         u1.append(u * sign)
         v1.append(v * sign)
     return np.array(sigma1), np.concatenate(u1 + [np.empty(0)]), np.concatenate(v1 + [np.empty(0)])
+
+
+def dense_reference_run(cfg, T: int):
+    """The paper's loop on SyntheticSource's own draws, for T iterations or
+    until err_A_max <= eps_T; returns (final A, [(err_A_max, signed support
+    held)] per iteration).
+
+    Each iteration composes the dense n x J x K cube and unfolds it, keeps
+    the columns above zero_tol, codes every column from T_{C_lb/2}(A^T Y)
+    by R residual-form IHT steps, and steps A by (1/p)(A X - Y) sign(X)^T
+    over the sample_mode columns, the residual taken with the A that coded
+    them. Column k*J + j is the fiber (j, k); independent_only keeps j == k.
+    """
+    root = np.random.SeedSequence(cfg.seed)
+    A_star = gen_dictionary(cfg.n, cfg.m, child_seed(root, 0))
+    A = perturb_init(A_star, cfg.resolved_eps0(), child_seed(root, 1))
+    ihtp, eta_A = cfg.iht_params(), cfg.resolved_eta_A()
+    history = []
+    for t in range(T):
+        B, C = gen_factor_pair(cfg.J, cfg.K, cfg.m, cfg.sparsity(), cfg.dist, cfg.C_lb,
+                               child_seed(root, 2, t))
+        Y = mode1_unfold(cp_compose(A_star, B, C))
+        keep = np.flatnonzero(np.abs(Y).max(axis=0) > cfg.zero_tol)
+        Y = Y[:, keep]
+        X = hard_threshold(A.T @ Y, ihtp.C_lb / 2.0)
+        for _ in range(ihtp.R):
+            X = hard_threshold(X - ihtp.eta_x * (A.T @ (A @ X - Y)), ihtp.tau)
+        sel = np.ones(keep.size, dtype=bool)
+        if cfg.sample_mode is SampleMode.INDEPENDENT_ONLY:
+            sel = keep % cfg.J == keep // cfg.J
+        if sel.any():
+            g = (A @ X[:, sel] - Y[:, sel]) @ np.sign(X[:, sel]).T / sel.sum()
+            A = normalize_columns(A - eta_A * g)
+        align = match_columns(A, A_star)
+        err = column_errors(A, A_star, align).max_err
+        X_star = np.einsum("jr,kr->rkj", B, C).reshape(cfg.m, -1)[:, keep]
+        history.append((err, np.array_equal(np.sign(align_rows(X, align)), np.sign(X_star))))
+        if err <= cfg.eps_T:
+            break
+    return A, history
 
 
 def spectral_norm(M) -> float:

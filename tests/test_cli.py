@@ -16,7 +16,6 @@ from sparsecp.synth import (
     gen_tensor_instance,
     perturb_init,
 )
-from sparsecp.tensor_core import khatri_rao_transpose
 from sparsecp.tensorio import (
     center_nonzero_fibers,
     ingest_tensor,
@@ -407,7 +406,7 @@ def test_decompose_help_lists_the_preprocessing_flags(capsys, monkeypatch):
     assert [m.start() for m in at] == sorted(m.start() for m in at)
 
 
-@pytest.mark.parametrize("command", ["synth-run", "decompose", "untangle"])
+@pytest.mark.parametrize("command", ["synth-run", "decompose"])
 def test_each_subcommand_help_lists_out_once(capsys, monkeypatch, command):
     monkeypatch.setenv("COLUMNS", "200")
     with pytest.raises(SystemExit) as exc:
@@ -513,65 +512,16 @@ def test_decompose_missing_file(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error: ")
 
 
-def test_untangle_command(tmp_path, capsys):
-    rng = np.random.default_rng(6)
-    B = rng.standard_normal((4, 3))
-    C = rng.standard_normal((5, 3))
-    S = khatri_rao_transpose(B, C)
-    S = np.vstack([S, np.zeros(20)])
-    src = tmp_path / "S.csv"
-    write_matrix_csv(src, S)
-    out = tmp_path / "u"
-    code = main(["untangle", str(src), "--J", "4", "--K", "5", "--out", str(out)])
-    assert code == 0
-    msg = capsys.readouterr().out
-    assert "untangled 4 rows (1 degenerate)" in msg
-    B_hat = read_matrix_csv(out / "B.csv")
-    C_hat = read_matrix_csv(out / "C.csv")
-    assert B_hat.shape == (4, 4)
-    assert C_hat.shape == (5, 4)
-    back = khatri_rao_transpose(B_hat, C_hat)
-    assert np.max(np.abs(back - S)) <= 1e-10 * np.max(np.abs(S))
-
-
-def test_untangle_rejects_bad_dims(tmp_path, capsys):
-    src = tmp_path / "S.csv"
-    write_matrix_csv(src, np.ones((2, 10)))
-    code = main(["untangle", str(src), "--J", "3", "--K", "4", "--out", str(tmp_path / "u")])
-    assert code == 1
-    assert capsys.readouterr().err.startswith("error: ")
-
-
-def test_untangle_rejects_negative_dims(tmp_path, capsys):
-    # J*K = 6 matches the column count, so only the sign check catches it
-    src = tmp_path / "S.csv"
-    write_matrix_csv(src, np.ones((2, 6)))
-    code = main(["untangle", str(src), "--J=-2", "--K=-3", "--out", str(tmp_path / "u")])
-    assert code == 1
-    assert "error: Dimensions must be >= 1, got J=-2, K=-3" in capsys.readouterr().err
-    assert not (tmp_path / "u").exists()
-
-
-def test_untangle_rejects_matrix_without_rows(tmp_path, capsys):
-    empty = tmp_path / "S.csv"
-    empty.write_text("0,4\n", encoding="utf-8")
-    code = main(["untangle", str(empty), "--J", "2", "--K", "2", "--out", str(tmp_path / "u")])
-    assert code == 1
-    assert capsys.readouterr().err == f"error: {empty}: matrix has no rows\n"
-    assert not (tmp_path / "u").exists()
-
-
 def test_usage_errors_exit_1_and_help_exits_0(tmp_path, capsys):
     # 2 is reserved for runs that stop without converging
     with pytest.raises(SystemExit) as exc:
-        main(["untangle", str(tmp_path / "x.csv"), "--J", "2", "--K", "2",
-              "--svd_tol", "1e-12"])
+        main(["eval", str(tmp_path / "x.csv"), str(tmp_path / "y.csv"), "--svd_tol", "1e-12"])
     assert exc.value.code == 1
     assert "error: unrecognized arguments: --svd_tol 1e-12" in capsys.readouterr().err
-    with pytest.raises(SystemExit) as exc:
-        main(["untangle", str(tmp_path / "x.csv"), "--J", "abc", "--K", "2"])
+    with pytest.raises(SystemExit) as exc:  # no command reads an m x JK code matrix
+        main(["untangle", str(tmp_path / "x.csv"), "--J", "2", "--K", "2"])
     assert exc.value.code == 1
-    assert "error: argument --J: invalid int value: 'abc'" in capsys.readouterr().err
+    assert "error: argument command: invalid choice: 'untangle'" in capsys.readouterr().err
     with pytest.raises(SystemExit) as exc:  # every decompose run is scaled; no flag selects it
         main(["decompose", str(tmp_path / "z.tnsr"), "--m", "2", "--scale-max"])
     assert exc.value.code == 1
@@ -582,14 +532,12 @@ def test_usage_errors_exit_1_and_help_exits_0(tmp_path, capsys):
     assert "--out" in capsys.readouterr().out
 
 
-def test_eval_and_untangle_name_non_finite_line(tmp_path, capsys):
+def test_eval_names_non_finite_line(tmp_path, capsys):
     bad = tmp_path / "bad.csv"
     bad.write_text("2,4\n1.0,0.0,0.0,1.0\n0.0,nan,0.0,0.0\n", encoding="utf-8")
     good = tmp_path / "good.csv"
     write_matrix_csv(good, np.eye(2, 4))
-    for argv in (["eval", str(bad), str(good)],
-                 ["eval", str(good), str(bad)],
-                 ["untangle", str(bad), "--J", "2", "--K", "2", "--out", str(tmp_path / "u")]):
+    for argv in (["eval", str(bad), str(good)], ["eval", str(good), str(bad)]):
         assert main(argv) == 1
         assert f"error: {bad}:3: non-finite value nan" in capsys.readouterr().err
 
@@ -627,7 +575,7 @@ def test_eval_rejects_matrix_without_columns(tmp_path, capsys):
 
 
 def test_eval_rejects_matrix_without_rows(tmp_path, capsys):
-    # named before matching, as untangle does, not as a zero-norm reference
+    # named before matching, not as a zero-norm reference
     empty = tmp_path / "E.csv"
     empty.write_text("0,3\n", encoding="utf-8")
     assert main(["eval", str(empty), str(empty)]) == 1

@@ -66,8 +66,8 @@ def bulk_reader_only(monkeypatch):
     """
     real = tensorio._read_entries
 
-    def spy(path, held):
-        shape, entries = real(path, held)
+    def spy(path):
+        shape, entries = real(path)
         assert entries.size == 0, f"{path} has entry lines, but the bulk reader turned it away"
         return shape, entries
 
@@ -502,6 +502,25 @@ def test_matrix_csv_header(tmp_path):
     p = tmp_path / "m.csv"
     write_matrix_csv(p, np.zeros((2, 3)))
     assert p.read_text(encoding="utf-8").splitlines()[0] == "2,3"
+
+
+@pytest.mark.parametrize("shape", [(2, 0), (0, 3), (0, 0)])
+def test_matrix_csv_round_trips_a_matrix_without_entries(tmp_path, shape):
+    p = tmp_path / "m.csv"
+    write_matrix_csv(p, np.zeros(shape))
+    back = read_matrix_csv(p)
+    assert back.shape == shape and back.flags.f_contiguous
+
+
+def test_matrix_csv_without_columns_reads_each_line_as_a_row(tmp_path):
+    # a row of no values is written as an empty line, so every line counts
+    p = tmp_path / "m.csv"
+    p.write_text("2,0\n\n", encoding="utf-8")
+    with pytest.raises(ValueError, match="says 2 rows, found 1$"):
+        read_matrix_csv(p)
+    p.write_text("2,0\n\n1.0\n", encoding="utf-8")
+    with pytest.raises(ValueError, match="m.csv:3: expected 0 values, found 1$"):
+        read_matrix_csv(p)
 
 
 def test_matrix_csv_errors(tmp_path):

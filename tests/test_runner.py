@@ -468,6 +468,32 @@ def test_mis_shaped_truth_sample_fails_at_entry(monkeypatch):
     assert len(coded) == 1
 
 
+class StartSource(FileSource):
+    """A file source whose initial dictionary is the given array."""
+
+    def __init__(self, cfg, start):
+        super().__init__(cfg, [])
+        self._start = start
+
+    def initial_dictionary(self):
+        return self._start
+
+
+def test_bad_initial_dictionary_is_named(monkeypatch):
+    cfg = cfg_small()
+    A0 = gen_dictionary(cfg.n, cfg.m, 0)
+    with_nan = A0.copy()
+    with_nan[3, 2] = np.nan
+    coded = spy_on_iht(monkeypatch)
+    for start, expect in [(A0[1:], f"Expected {cfg.n} rows, got {cfg.n - 1}"),
+                          (with_nan, "Matrix contains non-finite values"),
+                          (A0[:, 0], "Expected a 2-D matrix, got ndim=1")]:
+        with pytest.raises(ValueError) as exc:
+            run_online(cfg, StartSource(cfg, start))
+        assert str(exc.value) == f"Initial dictionary: {expect}"
+    assert not coded
+
+
 def test_file_mode_reports_movement():
     cfg = cfg_small(T_max=3)
     res = run_online(cfg, source=FileSource(cfg, planted_tensors(cfg, 3)))
