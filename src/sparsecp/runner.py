@@ -4,19 +4,18 @@ Each sample is a FiberSample; each iteration drops its fibers at or
 below zero_tol, runs sparse coding -> gradient -> dictionary step on the
 p fibers left (no n x J x K or m x JK array is built), then logs an
 IterationRecord every log_every iterations, and the last one always.
-The codes are untangled into (B, C) on each iteration with ground truth,
-whose B/C errors read them; a run without it untangles only its last
-iteration's codes, once, after the loop, for RunResult. A sample is
-checked once, as source.instance(t) gives it: a FiberSample of shape
-(n, J, K), with one at t = 0. Batch mode reuses instance(0), so a
-source only maps t to a sample. An error in a stage is raised once, as
-RuntimeError("<Stage> failed at iteration t: ...") with the original
-error as its cause.
+Every run splits its final codes into (B, C) once, after the loop; an
+iteration with ground truth also splits its own codes for its B/C
+errors. A sample is checked once, as source.instance(t) gives it: a
+FiberSample of shape (n, J, K), with one at t = 0. Batch mode reuses
+instance(0), so a source only maps t to a sample. An error in a stage
+is raised once, as RuntimeError("<Stage> failed at iteration t: ...")
+with the original error as its cause.
 With ground truth (synthetic sources) the record carries aligned errors
 and the run stops once the max aligned column error reaches eps_T; file
 sources have no ground truth, so the error fields hold the dictionary
-movement surrogates described in the README and the run stops on small
-movement instead.
+movement surrogates described in the README and the run stops once a
+step that learned moves the dictionary by at most eps_T.
 """
 
 from __future__ import annotations
@@ -58,7 +57,7 @@ from .tensor_core import (
     extract_nonzero_columns,
     khatri_rao_columns,
 )
-from .untangle import UntangledFactors, untangle_codes
+from .untangle import untangle_codes
 
 # Not called here: the benchmark's tracer wraps these runner attributes by name.
 from .sparse_coding import init_code  # noqa: F401
@@ -361,15 +360,13 @@ def _min_descent_correlation(g, A_prev, A_star, align, used, eps_T) -> float:
 @dataclass(frozen=True, eq=False)
 class _Step:
     """One sample's outcome: the stepped dictionary, the codes X of the
-    fibers cmap.kept and their split unf (None if nothing read it), and
-    the iteration's record."""
+    fibers cmap.kept, whether the step learned from them, and the
+    iteration's record."""
 
     A: np.ndarray
     X: np.ndarray
     cmap: ColumnIndexMap
-    unf: UntangledFactors | None
     learned: bool
-    should_stop: bool
     record: IterationRecord
 
 
@@ -397,7 +394,6 @@ def _step(cfg: SolverConfig, ihtp: IhtParams, eta_A: float, A: np.ndarray,
     stage = "Sparse coding"
     try:
         Xh = iht(A, Y, None, ihtp)
-        unf = None
         if gt is not None:  # only the B/C errors read this sample's split
             stage = "Untangle"
             unf = untangle_codes(Xh, cmap, J, K)
@@ -443,12 +439,9 @@ def _step(cfg: SolverConfig, ihtp: IhtParams, eta_A: float, A: np.ndarray,
             err_C_max = float(normalized_column_errors(unf.C, gt.C * shown, align).max())
             if g is not None:
                 min_corr = _min_descent_correlation(g, A, gt.A, align, used, cfg.eps_T)
-            should_stop = err_A_max <= cfg.eps_T
-        else:
-            movement = float(np.linalg.norm(A_new - A))
-            err_A_max = movement
-            err_A_relF = movement / float(np.linalg.norm(A))
-            should_stop = learned and movement <= cfg.eps_T
+        else:  # the dictionary's movement stands in for its error
+            err_A_max = float(np.linalg.norm(A_new - A))
+            err_A_relF = err_A_max / float(np.linalg.norm(A))
     except (IhtDivergenceError, ValueError) as exc:
         raise RuntimeError(f"{stage} failed at iteration {t}: {exc}") from exc
 
@@ -466,7 +459,7 @@ def _step(cfg: SolverConfig, ihtp: IhtParams, eta_A: float, A: np.ndarray,
         min_descent_corr=min_corr,
         wall_ms=(time.perf_counter() - tick) * 1000.0,
     )
-    return _Step(A_new, Xh, cmap, unf, learned, should_stop, record)
+    return _Step(A_new, Xh, cmap, learned, record)
 
 
 def run_online(cfg: SolverConfig, source: TensorSource | None = None) -> RunResult:
@@ -475,7 +468,9 @@ def run_online(cfg: SolverConfig, source: TensorSource | None = None) -> RunResu
     Each iteration checks the source's sample and hands it to _step, so
     one sample's arrays are alive at a time: the loop keeps the dictionary
     and the last step's codes, and in online mode it drops the last
-    sample before the source builds the next.
+    sample before the source builds the next. The run converges once
+    err_A_max reaches eps_T: the aligned error with ground truth, else the
+    movement of a step that learned. B and C split the last step's codes.
     """
     start = time.perf_counter()
     if source is None:
@@ -524,19 +519,17 @@ def run_online(cfg: SolverConfig, source: TensorSource | None = None) -> RunResu
             records.append(step.record)
 
         A = step.A
-        if step.should_stop:
+        if step.record.err_A_max <= cfg.eps_T and (gt is not None or step.learned):
             stop_reason = "converged"
             break
 
     record = step.record  # the last finished iteration's (a source runs dry at t > 0)
     if records[-1] is not record:
         records.append(record)  # the last iteration is logged whatever log_every says
-    unf = step.unf
-    if unf is None:  # no ground truth: split only the codes returned
-        try:
-            unf = untangle_codes(step.X, step.cmap, cfg.J, cfg.K)
-        except ValueError as exc:
-            raise RuntimeError(f"Untangle failed at iteration {record.t}: {exc}") from exc
+    try:
+        unf = untangle_codes(step.X, step.cmap, cfg.J, cfg.K)
+    except ValueError as exc:
+        raise RuntimeError(f"Untangle failed at iteration {record.t}: {exc}") from exc
 
     return RunResult(
         records=tuple(records),

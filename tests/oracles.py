@@ -13,7 +13,8 @@ pinning rank1_blocks' summation order bit for bit. hard_threshold (iht's
 T_tau) and independent_column_indices (run_online's j == k selection)
 are the plain forms of rules the package applies inline.
 dense_reference_run is the paper's online loop as written, over the dense
-cube and every column, to check whole runs of run_online against.
+cube and every column, to check whole runs of run_online against, and
+svd_split splits its codes by a full LAPACK SVD of each row's J x K matrix.
 The checks at the end (spectral_norm, incoherence, closeness_check,
 descent_correlation) are used by tests only; unlike the references, they
 are built on the package's public functions. traced_peak is how every
@@ -287,7 +288,7 @@ def scalar_rank1_blocks(blocks, nr, nc):
 def dense_reference_run(cfg, T: int):
     """The paper's loop on SyntheticSource's own draws, for T iterations or
     until err_A_max <= eps_T; returns (final A, [(err_A_max, signed support
-    held)] per iteration).
+    held)] per iteration, the last codes X, their kept fiber indices).
 
     Each iteration composes the dense n x J x K cube and unfolds it, keeps
     the columns above zero_tol, codes every column from T_{C_lb/2}(A^T Y)
@@ -321,7 +322,33 @@ def dense_reference_run(cfg, T: int):
         history.append((err, np.array_equal(np.sign(align_rows(X, align)), np.sign(X_star))))
         if err <= cfg.eps_T:
             break
-    return A, history
+    return A, history, X, keep
+
+
+def svd_split(X, kept, J: int, K: int):
+    """Return (B, C) from the m x p codes X of the fibers kept.
+
+    Row i's J x K matrix M, M[j, k] = X[i, q] where kept[q] = k*J + j, has
+    the top triple (s, u, v) of np.linalg.svd; B_i = sqrt(s) u and
+    C_i = sqrt(s) v, with u's largest-magnitude entry (ties within a
+    relative 1e-9 to the lowest index) made non-negative. A zero row
+    gives zero columns.
+    """
+    m = X.shape[0]
+    B, C = np.zeros((J, m)), np.zeros((K, m))
+    j, k = np.asarray(kept) % J, np.asarray(kept) // J
+    for i in range(m):
+        if not X[i].any():
+            continue
+        M = np.zeros((J, K))
+        M[j, k] = X[i]
+        U, S, Vt = np.linalg.svd(M)
+        u, v = U[:, 0], Vt[0]
+        mag = np.abs(u)
+        if u[np.argmax(mag >= (1.0 - 1e-9) * mag.max())] < 0.0:
+            u, v = -u, -v
+        B[:, i], C[:, i] = np.sqrt(S[0]) * u, np.sqrt(S[0]) * v
+    return B, C
 
 
 def spectral_norm(M) -> float:

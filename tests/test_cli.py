@@ -530,6 +530,12 @@ def test_usage_errors_exit_1_and_help_exits_0(tmp_path, capsys):
         main(["synth-run", "--help"])
     assert exc.value.code == 0
     assert "--out" in capsys.readouterr().out
+    # run as a module, the exit status is main's
+    proc = run_python(["-m", "sparsecp.cli", "--help"], cwd=tmp_path)
+    assert proc.returncode == 0 and proc.stdout.startswith("usage: "), proc.stderr
+    assert "{synth-run,decompose,eval}" in proc.stdout
+    proc = run_python(["-m", "sparsecp.cli", "eval", "x.csv", "y.csv"], cwd=tmp_path)
+    assert proc.returncode == 1 and proc.stderr.startswith("error: "), proc.stderr
 
 
 def test_eval_names_non_finite_line(tmp_path, capsys):

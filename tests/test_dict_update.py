@@ -49,6 +49,22 @@ def test_gradient_rejects_empty_selection():
         gradient(np.zeros((2, 0)), np.zeros((2, 0)))
 
 
+def test_gradient_rejects_mismatched_codes():
+    with pytest.raises(ValueError, match=r"^Shape mismatch: R 2x3, Xsel 4x2$"):
+        gradient(np.zeros((2, 3)), np.zeros((4, 2)))
+
+
+def test_gradient_rejects_non_finite_entries():
+    R = np.full((1, 2), 1e308)
+    with np.errstate(over="ignore"), pytest.raises(ValueError, match="^Gradient has non-finite entries$"):
+        gradient(R, np.ones((1, 2)))
+
+
+def test_step_rejects_mismatched_gradient():
+    with pytest.raises(ValueError, match=r"^Shape mismatch: A 3x2, g 2x3$"):
+        step_and_normalize(np.eye(3, 2), np.zeros((2, 3)), 1.0)
+
+
 def test_step_zero_gradient_keeps_unit_dictionary():
     rng = np.random.default_rng(3)
     A = rng.standard_normal((6, 4))

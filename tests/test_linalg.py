@@ -217,6 +217,8 @@ def test_as_matrix_rejects_non_finite():
 def test_as_matrix_checks_declared_shape():
     with pytest.raises(ValueError):
         as_matrix(np.ones((2, 3)), rows=3)
+    with pytest.raises(ValueError, match="^Expected 4 cols, got 3$"):
+        as_matrix(np.ones((2, 3)), cols=4)
 
 
 def test_as_matrix_keeps_a_column_major_float64_array_and_copies_the_rest():

@@ -33,6 +33,12 @@ def test_match_identity():
     assert np.array_equal(al.signs, [1.0, 1.0, 1.0])
 
 
+def test_alignment_rejects_a_perm_that_is_not_a_bijection():
+    for perm in ([0, 0, 2], [1, 2, 3]):
+        with pytest.raises(ValueError, match=r"^perm must be a bijection on \[0, m\)$"):
+            Alignment(perm, np.ones(3), np.ones(3))
+
+
 def test_match_permuted_negated():
     # estimate columns (-e2, e1) against reference I2: reference column 0
     # is matched by estimate column 1, reference column 1 by estimate

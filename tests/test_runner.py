@@ -326,7 +326,9 @@ def test_all_nonzero_mode_passes_codes_and_residual_uncopied(monkeypatch):
         return [args for nm, args in calls if nm == name]
 
     untangled, grads, fits = args_of("untangle_codes"), args_of("gradient"), args_of("data_fit")
-    assert len(untangled) == len(grads) == len(fits) == cfg.T_max
+    assert len(grads) == len(fits) == cfg.T_max
+    assert len(untangled) == cfg.T_max + 1  # each iteration's B/C errors, then the final codes
+    assert untangled[-1][0] is res.X
     for u, g, f in zip(untangled, grads, fits):
         X, R, Xsel, Y, R_fit = u[0], g[0], g[1], f[0], f[1]
         assert np.shares_memory(Xsel, X)

@@ -30,6 +30,13 @@ def test_gen_dictionary_unit_columns():
     assert np.max(np.abs(column_norms(A) - 1.0)) <= 1e-14
 
 
+def test_gen_dictionary_rejects_an_empty_dimension():
+    with pytest.raises(ValueError, match="^Dimensions must be >= 1, got n=0, m=3$"):
+        gen_dictionary(0, 3, rng_seed=0)
+    with pytest.raises(ValueError, match="^Dimensions must be >= 1, got n=3, m=0$"):
+        gen_dictionary(3, 0, rng_seed=0)
+
+
 def test_gen_dictionary_deterministic():
     assert np.array_equal(gen_dictionary(40, 8, 5), gen_dictionary(40, 8, 5))
     assert not np.array_equal(gen_dictionary(40, 8, 5), gen_dictionary(40, 8, 6))
@@ -139,6 +146,9 @@ def test_subgaussian_bound_unit_variance():
     C = 0.5
     b = subgaussian_magnitude_bound(C)
     assert (b**3 - C**3) / (3.0 * (b - C)) == pytest.approx(1.0, rel=1e-12)
+    for C_lb in (0.0, 1.5):
+        with pytest.raises(ValueError, match=rf"^C_lb must lie in \(0, 1\], got {C_lb}$"):
+            subgaussian_magnitude_bound(C_lb)
 
 
 def test_distribution_parse():

@@ -73,6 +73,16 @@ def test_mode1_unfold_zero():
     assert not mode1_unfold(np.zeros((2, 3, 4))).any()
 
 
+def test_mode1_unfold_rejects_other_ranks_and_non_finite_entries():
+    with pytest.raises(ValueError, match="^Expected a 3-way tensor, got ndim=2$"):
+        mode1_unfold(np.zeros((2, 3)))
+    for bad in (np.nan, np.inf):
+        Z = np.zeros((2, 3, 4))
+        Z[1, 2, 3] = bad
+        with pytest.raises(ValueError, match="^Tensor contains non-finite values$"):
+            mode1_unfold(Z)
+
+
 def test_unfold_compose_equals_krp_product():
     A, B, C = small_factors(7)
     lhs = mode1_unfold(cp_compose(A, B, C))
@@ -153,6 +163,11 @@ def test_extract_drops_exact_zero_columns():
     Y, cmap = extract_nonzero_columns(M, 0.0)
     assert np.array_equal(cmap.kept, [0, 2, 3, 5])
     assert Y.shape == (2, 4)
+
+
+def test_extract_rejects_a_negative_zero_tol():
+    with pytest.raises(ValueError, match="^zero_tol must be >= 0, got -0.1$"):
+        extract_nonzero_columns(np.ones((2, 3)), -0.1)
 
 
 def test_extract_threshold_is_strict():
