@@ -38,11 +38,10 @@ __all__ = [
 @dataclass(frozen=True, eq=False)
 class Alignment:
     """Column correspondence: estimate column perm[j] matches reference column j
-    with sign signs[j]; matched_scores[j] is the winning |inner product|."""
+    with sign signs[j]."""
 
     perm: np.ndarray
     signs: np.ndarray
-    matched_scores: np.ndarray = field(repr=False)
 
     def __post_init__(self):
         perm = np.asarray(self.perm, dtype=np.int64)
@@ -98,7 +97,7 @@ def match_columns(A, A_ref) -> Alignment:
                 left -= 1
                 if not left:
                     break
-    return Alignment(perm, np.where(G[perm, cols] < 0.0, -1.0, 1.0), score[perm, cols])
+    return Alignment(perm, np.where(G[perm, cols] < 0.0, -1.0, 1.0))
 
 
 def align_columns(M, align: Alignment) -> np.ndarray:
@@ -113,8 +112,7 @@ def align_rows(X, align: Alignment) -> np.ndarray:
 
 def column_errors(A, A_ref, align: Alignment) -> ColumnErrors:
     """Return per-column l2 errors of the aligned estimate, with max and mean."""
-    D = align_columns(A, align) - A_ref
-    per_col = np.sqrt(np.einsum("ij,ij->j", D, D))
+    per_col = column_norms(align_columns(A, align) - A_ref)
     return ColumnErrors(float(per_col.max()), float(per_col.mean()), per_col)
 
 

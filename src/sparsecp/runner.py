@@ -302,18 +302,15 @@ class SyntheticSource:
 
     def __init__(self, cfg: SolverConfig):
         self._cfg = cfg
-        root = np.random.SeedSequence(cfg.seed)
-        self._root = root
-        self.A_star = gen_dictionary(cfg.n, cfg.m, child_seed(root, 0))
+        self.A_star = gen_dictionary(cfg.n, cfg.m, child_seed(cfg.seed, 0))
 
     def initial_dictionary(self) -> np.ndarray:
-        return perturb_init(self.A_star, self._cfg.resolved_eps0(), child_seed(self._root, 1))
+        return perturb_init(self.A_star, self._cfg.resolved_eps0(), child_seed(self._cfg.seed, 1))
 
     def instance(self, t: int):
         cfg = self._cfg
         B, C = gen_factor_pair(
-            cfg.J, cfg.K, cfg.m, cfg.sparsity(), cfg.dist, cfg.C_lb,
-            child_seed(self._root, 2, t),
+            cfg.J, cfg.K, cfg.m, cfg.sparsity(), cfg.dist, cfg.C_lb, child_seed(cfg.seed, 2, t)
         )
         return cp_fibers(self.A_star, B, C), GroundTruth(self.A_star, B, C)
 
@@ -329,8 +326,7 @@ class FileSource:
         self._tensors = iter(tensors)
 
     def initial_dictionary(self) -> np.ndarray:
-        root = np.random.SeedSequence(self._cfg.seed)
-        return gen_dictionary(self._cfg.n, self._cfg.m, child_seed(root, 0))
+        return gen_dictionary(self._cfg.n, self._cfg.m, child_seed(self._cfg.seed, 0))
 
     def instance(self, t: int):
         for sample in self._tensors:  # the next one, whatever it is: run_online checks it
@@ -346,10 +342,8 @@ def _min_descent_correlation(g, A_prev, A_star, align, used, eps_T) -> float:
     scale of float rounding, so both are excluded; with no qualifying
     atom the diagnostic is 0.
     """
-    ga = g[:, align.perm]
-    Aa = A_prev[:, align.perm]
-    diffs = Aa - A_star * align.signs
-    corr = np.einsum("ij,ij->j", ga, diffs)
+    diffs = align_columns(A_prev, align) - A_star
+    corr = np.einsum("ij,ij->j", align_columns(g, align), diffs)
     gap2 = np.einsum("ij,ij->j", diffs, diffs)
     live = used[align.perm] & (gap2 > eps_T * eps_T)
     if not live.any():

@@ -31,6 +31,7 @@ from scipy.optimize import linear_sum_assignment
 from sparsecp.dict_update import SampleMode
 from sparsecp.linalg import column_norms, normalize_columns, rank1_svd
 from sparsecp.metrics import Alignment, align_columns, align_rows, column_errors, match_columns
+from sparsecp.runner import RunMode
 from sparsecp.synth import child_seed, gen_dictionary, gen_factor_pair, perturb_init
 from sparsecp.tensor_core import cp_compose, mode1_unfold
 
@@ -89,7 +90,6 @@ def match_columns_lexsort(A, A_ref) -> Alignment:
     order = np.lexsort((i_flat, j_flat, -score.ravel()))
     perm = np.full(m, -1, dtype=np.int64)
     signs = np.empty(m)
-    scores = np.empty(m)
     used_i = np.zeros(m, dtype=bool)
     used_j = np.zeros(m, dtype=bool)
     for idx in order:
@@ -99,10 +99,9 @@ def match_columns_lexsort(A, A_ref) -> Alignment:
             continue
         perm[j] = i
         signs[j] = -1.0 if G[i, j] < 0.0 else 1.0
-        scores[j] = score[i, j]
         used_i[i] = True
         used_j[j] = True
-    return Alignment(perm, signs, scores)
+    return Alignment(perm, signs)
 
 
 def normalized_column_errors_loop(F, F_ref, align: Alignment) -> np.ndarray:
@@ -285,42 +284,68 @@ def scalar_rank1_blocks(blocks, nr, nc):
     return np.array(sigma1), np.concatenate(u1 + [np.empty(0)]), np.concatenate(v1 + [np.empty(0)])
 
 
-def dense_reference_run(cfg, T: int):
-    """The paper's loop on SyntheticSource's own draws, for T iterations or
-    until err_A_max <= eps_T; returns (final A, [(err_A_max, signed support
-    held)] per iteration, the last codes X, their kept fiber indices).
+def dense_reference_run(cfg, T: int, samples=None):
+    """The paper's loop for T iterations or until it stops; returns (final A,
+    [(err_A_max, signed support held)] per iteration, the last codes X, their
+    kept fiber indices).
 
-    Each iteration composes the dense n x J x K cube and unfolds it, keeps
-    the columns above zero_tol, codes every column from T_{C_lb/2}(A^T Y)
-    by R residual-form IHT steps, and steps A by (1/p)(A X - Y) sign(X)^T
-    over the sample_mode columns, the residual taken with the A that coded
-    them. Column k*J + j is the fiber (j, k); independent_only keeps j == k.
+    Without samples it runs on SyntheticSource's own draws, composing the
+    dense n x J x K cube and unfolding it, and err_A_max is the aligned
+    error against the truth. Given FiberSamples (a file run) it starts from
+    FileSource's dictionary, scatters each sample into a dense n x JK
+    unfolding, ends when they run out, and err_A_max is the movement
+    ||A_new - A||, which stops the run only after a step that learned (a
+    selected code is non-zero); signed support held is then None. Batch
+    mode draws sample 0 once and codes it at every iteration. Each
+    iteration keeps the columns above zero_tol, codes every column from
+    T_{C_lb/2}(A^T Y) by R residual-form IHT steps, and steps A by
+    (1/p)(A X - Y) sign(X)^T over the sample_mode columns, the residual
+    taken with the A that coded them. Column k*J + j is the fiber (j, k);
+    independent_only keeps j == k.
     """
-    root = np.random.SeedSequence(cfg.seed)
-    A_star = gen_dictionary(cfg.n, cfg.m, child_seed(root, 0))
-    A = perturb_init(A_star, cfg.resolved_eps0(), child_seed(root, 1))
+    if samples is None:
+        A_star = gen_dictionary(cfg.n, cfg.m, child_seed(cfg.seed, 0))
+        A = perturb_init(A_star, cfg.resolved_eps0(), child_seed(cfg.seed, 1))
+    else:
+        samples = iter(samples)
+        A = gen_dictionary(cfg.n, cfg.m, child_seed(cfg.seed, 0))
     ihtp, eta_A = cfg.iht_params(), cfg.resolved_eta_A()
     history = []
     for t in range(T):
-        B, C = gen_factor_pair(cfg.J, cfg.K, cfg.m, cfg.sparsity(), cfg.dist, cfg.C_lb,
-                               child_seed(root, 2, t))
-        Y = mode1_unfold(cp_compose(A_star, B, C))
-        keep = np.flatnonzero(np.abs(Y).max(axis=0) > cfg.zero_tol)
-        Y = Y[:, keep]
+        if t == 0 or cfg.mode is RunMode.ONLINE:
+            if samples is None:
+                B, C = gen_factor_pair(cfg.J, cfg.K, cfg.m, cfg.sparsity(), cfg.dist,
+                                       cfg.C_lb, child_seed(cfg.seed, 2, t))
+                Y_all = mode1_unfold(cp_compose(A_star, B, C))
+            else:
+                sample = next(samples, None)
+                if sample is None:
+                    break
+                Y_all = np.zeros((cfg.n, cfg.J * cfg.K))
+                Y_all[:, sample.cmap.kept] = sample.Y
+        keep = np.flatnonzero(np.abs(Y_all).max(axis=0) > cfg.zero_tol)
+        Y = Y_all[:, keep]
         X = hard_threshold(A.T @ Y, ihtp.C_lb / 2.0)
         for _ in range(ihtp.R):
             X = hard_threshold(X - ihtp.eta_x * (A.T @ (A @ X - Y)), ihtp.tau)
         sel = np.ones(keep.size, dtype=bool)
         if cfg.sample_mode is SampleMode.INDEPENDENT_ONLY:
             sel = keep % cfg.J == keep // cfg.J
+        A_prev = A
         if sel.any():
             g = (A @ X[:, sel] - Y[:, sel]) @ np.sign(X[:, sel]).T / sel.sum()
             A = normalize_columns(A - eta_A * g)
-        align = match_columns(A, A_star)
-        err = column_errors(A, A_star, align).max_err
-        X_star = np.einsum("jr,kr->rkj", B, C).reshape(cfg.m, -1)[:, keep]
-        history.append((err, np.array_equal(np.sign(align_rows(X, align)), np.sign(X_star))))
-        if err <= cfg.eps_T:
+        if samples is None:
+            align = match_columns(A, A_star)
+            err = column_errors(A, A_star, align).max_err
+            X_star = np.einsum("jr,kr->rkj", B, C).reshape(cfg.m, -1)[:, keep]
+            history.append((err, np.array_equal(np.sign(align_rows(X, align)), np.sign(X_star))))
+            stop = err <= cfg.eps_T
+        else:
+            err = float(np.linalg.norm(A - A_prev))
+            history.append((err, None))
+            stop = err <= cfg.eps_T and X[:, sel].any()
+        if stop:
             break
     return A, history, X, keep
 

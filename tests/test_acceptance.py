@@ -89,7 +89,7 @@ def grid_instance(seed, J=50, K=50, m=10, prob=0.1):
     return B, C, khatri_rao_transpose(B, C)
 
 
-IDENT10 = Alignment(np.arange(10), np.ones(10), np.ones(10))
+IDENT10 = Alignment(np.arange(10), np.ones(10))
 
 
 def test_criterion_4_untangling_exact():

@@ -13,6 +13,7 @@ import sparsecp
 from sparsecp import linalg, runner, untangle
 from sparsecp.linalg import CollapsedColumnError
 from sparsecp.dict_update import SampleMode
+from sparsecp.metrics import Alignment
 from sparsecp.runner import (
     ETA_A_PRESETS,
     FileSource,
@@ -41,7 +42,7 @@ from sparsecp.tensor_core import (
     mode1_unfold,
 )
 
-from oracles import independent_column_indices, nonzero_fibers, traced_peak
+from oracles import descent_correlation, independent_column_indices, nonzero_fibers, traced_peak
 
 TINY = 1e-300  # effectively "never stop on eps_T"
 
@@ -794,3 +795,36 @@ def test_bounded_subgaussian_code_entries_below_tau_are_rejected():
     assert SolverConfig(**canonical, C_lb=0.3, tau=0.09).tau == 0.09
     # Rademacher entries are +-1 whatever C_lb says
     assert SolverConfig(**(canonical | {"dist": Distribution.RADEMACHER}), C_lb=0.3).C_lb == 0.3
+
+
+def test_min_descent_correlation_matches_the_per_atom_oracle():
+    # estimate atom perm[j] aims at signs[j] * A_star[:, j], signs flipped on three;
+    # j = 0 is outside used and j = 1 within eps_T of its target, and either would
+    # give the smallest correlation if it were read
+    rng = np.random.default_rng(11)
+    n, m, eps_T = 12, 6, 1e-12
+    A_star = gen_dictionary(n, m, 4)
+    signs = np.array([1.0, -1.0, -1.0, 1.0, -1.0, 1.0])
+    align = Alignment(rng.permutation(m), signs)
+    perm = align.perm
+    target = A_star * signs
+    A_prev = np.empty((n, m))
+    A_prev[:, perm] = target + 0.05 * rng.standard_normal((n, m))
+    A_prev[:, perm[1]] = target[:, 1] + 1e-15
+    g = rng.standard_normal((n, m))
+    g[:, perm[0]] = -1e3 * (A_prev[:, perm[0]] - target[:, 0])
+    g[:, perm[1]] = -1e30 * (A_prev[:, perm[1]] - target[:, 1])
+    want = [descent_correlation(g[:, perm[j]], A_prev[:, perm[j]], target[:, j]) for j in range(m)]
+    live = range(2, m)
+    assert max(want[:2]) < min(want[j] for j in live)
+
+    def corr(atoms):
+        used = np.zeros(m, dtype=bool)
+        used[perm[list(atoms)]] = True
+        return runner._min_descent_correlation(g, A_prev, A_star, align, used, eps_T)
+
+    assert corr(range(1, m)) == pytest.approx(min(want[j] for j in live), rel=1e-12)
+    for j in live:
+        assert corr([j]) == pytest.approx(want[j], rel=1e-12), j
+    assert corr([]) == 0.0
+    assert corr([1]) == 0.0  # the one used atom is at its target
