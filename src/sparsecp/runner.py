@@ -1,9 +1,10 @@
 """Online decomposition driver: config, per-iteration pipeline, stop rules.
 
 Each sample is a FiberSample; each iteration drops its fibers at or
-below zero_tol, runs sparse coding -> gradient -> dictionary step on the
-p fibers left (no n x J x K or m x JK array is built), then logs an
-IterationRecord every log_every iterations, and the last one always.
+below zero_tol, codes the p fibers left (no n x J x K or m x JK array
+is built), steps the dictionary only when a selected code is non-zero
+(else A stays as it is, bit for bit), then logs an IterationRecord
+every log_every iterations, and the last one always.
 Every run splits its final codes into (B, C) once, after the loop; an
 iteration with ground truth also splits its own codes for its B/C
 errors. A sample is checked once, as source.instance(t) gives it: a
@@ -353,9 +354,9 @@ def _min_descent_correlation(g, A_prev, A_star, align, used, eps_T) -> float:
 
 @dataclass(frozen=True, eq=False)
 class _Step:
-    """One sample's outcome: the stepped dictionary, the codes X of the
-    fibers cmap.kept, whether the step learned from them, and the
-    iteration's record."""
+    """One sample's outcome: the dictionary, the codes X of the fibers
+    cmap.kept, whether the step learned (a selected code is non-zero, the
+    only case in which A moves), and the iteration's record."""
 
     A: np.ndarray
     X: np.ndarray
@@ -396,24 +397,18 @@ def _step(cfg: SolverConfig, ihtp: IhtParams, eta_A: float, A: np.ndarray,
         # one residual of the pre-step dictionary feeds gradient and data_fit
         R = A @ Xh
         R -= Y
-        if cfg.sample_mode is SampleMode.INDEPENDENT_ONLY:
-            sel, p_sel = indep_pos, p_indep
-        else:
-            sel, p_sel = slice(None), p  # every column, as views
-        g = None
-        if p_sel > 0:
+        sel = indep_pos if cfg.sample_mode is SampleMode.INDEPENDENT_ONLY else slice(None)
+        used = Xh[:, sel].any(axis=1)  # the atoms the selected codes use
+        learned = bool(used.any())
+        A_new = A  # all-zero (or no) selected codes: a zero gradient, A stays as it is
+        if learned:
             g = gradient(R[:, sel], Xh[:, sel])
             A_new = step_and_normalize(A, g, eta_A)
-        else:
-            A_new = A  # no usable samples; skip the update, keep logging
-        # all-zero codes give a zero gradient: no movement, but nothing learned
-        used = Xh[:, sel].any(axis=1)  # the atoms the selected codes use
-        learned = g is not None and bool(used.any())
 
         stage = "Metrics"
         fit = data_fit(Y, R) if p > 0 else 0.0
         del R, Y
-        if fit > 1.0 + 1e-9:  # an idle iteration's residual is -Y, a fit of exactly 1
+        if fit > 1.0 + 1e-9:  # an idle iteration's residual is -Y, a fit of 1 up to rounding
             raise ValueError(
                 f"data_fit {fit:.3e} > 1: the codes fit the sample worse than zero codes"
             )
@@ -431,7 +426,7 @@ def _step(cfg: SolverConfig, ihtp: IhtParams, eta_A: float, A: np.ndarray,
             shown = X_star.any(axis=1)  # an atom no kept fiber shows is scored against zeros
             err_B_max = float(normalized_column_errors(unf.B, gt.B * shown, align).max())
             err_C_max = float(normalized_column_errors(unf.C, gt.C * shown, align).max())
-            if g is not None:
+            if learned:
                 min_corr = _min_descent_correlation(g, A, gt.A, align, used, cfg.eps_T)
         else:  # the dictionary's movement stands in for its error
             err_A_max = float(np.linalg.norm(A_new - A))

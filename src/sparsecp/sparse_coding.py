@@ -4,12 +4,13 @@ IHT runs in Gram form over all columns at once: G = A^T A and A^T Y are
 formed once per call, so each step costs m^2 p flops instead of 2 n m p.
 On a fixed support the steps are linear, so a column whose support
 provably holds through all R steps is settled in closed form from its
-k x k block of G (the certificate is in iht's docstring). Columns are
-grouped by their number of non-zeros k, each group with one batched
-eigendecomposition of its blocks (k = 1 needs none). Every other column
-runs the steps, which stay the reference and the only source of
-IhtDivergenceError (a non-finite iterate). A, Y and X0 are float64
-arrays taken as given: only their shapes are checked.
+k x k block of G, and a zero start stays zero while every
+eta_x*|(A^T Y)_s| is below tau (the certificates are in iht's docstring).
+Columns are grouped by their number of non-zeros k, each group with one
+batched eigendecomposition of its blocks (k <= 1 needs none). Every
+other column runs the steps, which stay the reference and the only
+source of IhtDivergenceError (a non-finite iterate). A, Y and X0 are
+float64 arrays taken as given: only their shapes are checked.
 """
 
 from __future__ import annotations
@@ -117,8 +118,10 @@ def iht(A, Y, X0, params: IhtParams) -> np.ndarray:
     closed form and the steps, and a block with lam_min <= 1e-4*lam_max
     counts as singular, since its closed form loses more digits than they
     hold. For k = 1 and 0 < mu < 1 the bounds are exact: x_t runs from
-    x_1 to x_R on S, and the candidates are affine in x_t. Every other
-    column runs the steps.
+    x_1 to x_R on S, and the candidates are affine in x_t. A zero start
+    (k = 0) is settled in place when every |b_s| is below
+    tau*(1 - 1e-9)/eta_x: at x = 0 each candidate is eta_x*b_s, so every
+    step keeps x = 0. Every other column runs the steps.
     """
     n, m = A.shape
     if Y.shape[0] != n:
@@ -140,7 +143,7 @@ def iht(A, Y, X0, params: IhtParams) -> np.ndarray:
     nnz = nz.sum(axis=0)
     settled = np.zeros(p, dtype=bool)
     for k, size in enumerate(np.bincount(nnz)):
-        if k and size:
+        if size:
             cols = np.flatnonzero(nnz == k)
             settled[_settle(G, AtY, X, cols, nz[:, cols], k, params)] = True
     loop = np.flatnonzero(~settled)
@@ -166,6 +169,8 @@ def _settle(G, AtY, X, cols, nz, k: int, params: IhtParams) -> np.ndarray:
     nz = (X[:, cols] != 0), that the certificate in iht settles; return
     their indices."""
     eta, tau, R = params.eta_x, params.tau, params.R
+    if k == 0:  # at x = 0 the candidates are eta*b_s: below tau, x stays 0
+        return cols[np.abs(AtY[:, cols]).max(axis=0) < tau * (1.0 - 1e-9) / eta]
     if k == 1:  # lam = G_rr and Q = 1: no eigendecomposition
         rows = np.argmax(nz, axis=0)[:, None]
         lam, Q = G[rows, rows], None

@@ -285,15 +285,14 @@ def read_matrix_csv(path) -> np.ndarray:
         rows, cols = (int(tok) for tok in head)
     except ValueError:
         raise ValueError(f"{path}:1: expected 'rows,cols' header, got {lines[0].strip()!r}")
-    if rows < 0 or cols < 0:
-        raise ValueError(f"{path}:1: negative dimensions in header")
-    # a row of no columns is written as an empty line, so then every line is a row
-    body = [(no, ln.strip()) for no, ln in enumerate(lines[1:], start=2) if ln.strip() or not cols]
+    if rows < 1 or cols < 1:
+        raise ValueError(f"{path}:1: dimensions must be >= 1, got {(rows, cols)}")
+    body = [(no, ln.strip()) for no, ln in enumerate(lines[1:], start=2) if ln.strip()]
     if len(body) != rows:
         raise ValueError(f"{path}: header says {rows} rows, found {len(body)}")
     M = np.zeros((rows, cols), order="F")
     for r, (lineno, text) in enumerate(body):
-        parts = text.split(",") if text else []
+        parts = text.split(",")
         if len(parts) != cols:
             raise ValueError(
                 f"{path}:{lineno}: expected {cols} values, found {len(parts)}"

@@ -18,7 +18,8 @@ svd_split splits its codes by a full LAPACK SVD of each row's J x K matrix.
 The checks at the end (spectral_norm, incoherence, closeness_check,
 descent_correlation) are used by tests only; unlike the references, they
 are built on the package's public functions. traced_peak is how every
-memory bound is measured.
+memory bound is measured, and record_iht_steps how a test sees which
+columns iht sends to its step loop.
 """
 
 from __future__ import annotations
@@ -28,6 +29,7 @@ import tracemalloc
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
+from sparsecp import sparse_coding
 from sparsecp.dict_update import SampleMode
 from sparsecp.linalg import column_norms, normalize_columns, rank1_svd
 from sparsecp.metrics import Alignment, align_columns, align_rows, column_errors, match_columns
@@ -429,3 +431,16 @@ def traced_peak(fn):
         return out, tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+
+
+def record_iht_steps(monkeypatch) -> list[int]:
+    """Make iht record the sample columns that run the steps; return the list."""
+    stepped = []
+    run_steps = sparse_coding._iht_steps
+
+    def steps(G, AtY, X, params, cols):
+        stepped.extend(int(q) for q in cols)
+        return run_steps(G, AtY, X, params, cols)
+
+    monkeypatch.setattr(sparse_coding, "_iht_steps", steps)
+    return stepped

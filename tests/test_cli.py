@@ -577,12 +577,12 @@ def test_eval_rejects_matrix_without_columns(tmp_path, capsys):
     empty = tmp_path / "E.csv"
     empty.write_text("0,0\n", encoding="utf-8")
     assert main(["eval", str(empty), str(empty)]) == 1
-    assert capsys.readouterr().err == f"error: {empty}: matrix has no columns\n"
+    assert capsys.readouterr().err == f"error: {empty}:1: dimensions must be >= 1, got (0, 0)\n"
 
 
 def test_eval_rejects_matrix_without_rows(tmp_path, capsys):
-    # named before matching, not as a zero-norm reference
+    # named at its header, not as a zero-norm reference
     empty = tmp_path / "E.csv"
     empty.write_text("0,3\n", encoding="utf-8")
     assert main(["eval", str(empty), str(empty)]) == 1
-    assert capsys.readouterr().err == f"error: {empty}: matrix has no rows\n"
+    assert capsys.readouterr().err == f"error: {empty}:1: dimensions must be >= 1, got (0, 3)\n"

@@ -42,7 +42,13 @@ from sparsecp.tensor_core import (
     mode1_unfold,
 )
 
-from oracles import descent_correlation, independent_column_indices, nonzero_fibers, traced_peak
+from oracles import (
+    descent_correlation,
+    independent_column_indices,
+    nonzero_fibers,
+    record_iht_steps,
+    traced_peak,
+)
 
 TINY = 1e-300  # effectively "never stop on eps_T"
 
@@ -528,6 +534,20 @@ def test_file_zero_codes_do_not_converge():
     assert res.stop_reason == "source_exhausted"
     assert res.iterations == 3
     assert all(r.err_A_max <= 1e-12 for r in res.records)
+
+
+def test_idle_file_run_leaves_the_dictionary_as_it_is(monkeypatch):
+    # files planted far from the start: every code starts at zero and stays
+    # there without an IHT step, and no step touches the dictionary
+    cfg = cfg_small(T_max=10)
+    start = FileSource(cfg, []).initial_dictionary()
+    stepped = record_iht_steps(monkeypatch)
+    res = run_online(cfg, source=FileSource(cfg, planted_tensors(cfg, 4)))
+    assert res.stop_reason == "source_exhausted"
+    assert res.idle_iterations == res.iterations == 4
+    assert np.array_equal(res.A, start)
+    assert all(r.err_A_max == 0.0 and r.p > 0 for r in res.records)
+    assert stepped == []
 
 
 class SlowSource(SyntheticSource):

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import sparsecp.sparse_coding as sparse_coding
-from sparsecp.runner import SolverConfig, SyntheticSource, run_online
+from sparsecp.runner import FileSource, SolverConfig, SyntheticSource, run_online
 from sparsecp.sparse_coding import (
     IhtDivergenceError,
     IhtParams,
@@ -11,8 +11,24 @@ from sparsecp.sparse_coding import (
     iht,
     init_code,
 )
+from sparsecp.synth import (
+    Distribution,
+    SparsityParams,
+    child_seed,
+    gen_dictionary,
+    gen_factor_pair,
+    perturb_init,
+)
+from sparsecp.tensor_core import cp_fibers
 
-from oracles import hard_threshold, one_sparse_rule, residual_iht, scalar_iht, stepped_iht
+from oracles import (
+    hard_threshold,
+    one_sparse_rule,
+    record_iht_steps,
+    residual_iht,
+    scalar_iht,
+    stepped_iht,
+)
 
 
 # hard_threshold ----------------------------------------------------------
@@ -314,6 +330,15 @@ def _eta_g_at_least_one(eta):
     return A, A.copy(), np.array([[0.8, 0.0], [0.0, 0.9]]), eta, 0.1, []
 
 
+def _zero_starts_settle():
+    # G = I: columns 0 and 2 start at zero with every candidate 0.2*|b_s| below
+    # tau (0.2*0.4999 included), so they stay there without a step; column 1
+    # crosses zero and runs the steps
+    Y = np.array([[0.3, 1.0, 0.0], [-0.45, 0.0, 0.0], [0.0, 0.0, -0.4999]])
+    X0 = np.array([[0.0, -0.15, 0.0], [0.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
+    return np.eye(3), Y, X0, 0.2, 0.1, [1]
+
+
 def _all_zero():
     rng = np.random.default_rng(23)
     A = rng.standard_normal((20, 5))
@@ -336,6 +361,7 @@ CLOSED_FORM_CASES = {
     "c_zero": lambda: _eta_g_at_least_one(0.5),
     "c_negative": lambda: _eta_g_at_least_one(0.9),
     "all_zero": _all_zero,
+    "zero_starts_settle": _zero_starts_settle,
 }
 
 
@@ -344,25 +370,12 @@ def assert_same_codes(closed, loop):
     assert np.all(np.abs(closed - loop) <= 1e-12 * np.abs(loop))
 
 
-def _record_stepped(monkeypatch):
-    """Make iht record the sample columns that run the steps; return the list."""
-    stepped = []
-    run_steps = sparse_coding._iht_steps
-
-    def steps(G, AtY, X, params, cols):
-        stepped.extend(int(q) for q in cols)
-        return run_steps(G, AtY, X, params, cols)
-
-    monkeypatch.setattr(sparse_coding, "_iht_steps", steps)
-    return stepped
-
-
 @pytest.mark.parametrize("R", [1, None])
 @pytest.mark.parametrize("case", sorted(CLOSED_FORM_CASES))
 def test_iht_closed_form_matches_forced_loop(case, R, monkeypatch):
     A, Y, X0, eta, tau, want_steps = CLOSED_FORM_CASES[case]()
     params = IhtParams(eta_x=eta, tau=tau, R=R)
-    stepped = _record_stepped(monkeypatch)
+    stepped = record_iht_steps(monkeypatch)
     closed = iht(A, Y, X0, params)
     if isinstance(want_steps, dict):
         want_steps = want_steps[R]
@@ -407,11 +420,47 @@ def test_iht_closed_form_matches_forced_loop_property(seed, eta, tau, R):
     st.floats(0.05, 0.3),
     st.sampled_from([1, 2, 7, None]),
 )
+def test_iht_zero_starts_match_forced_loop_property(seed, eta, tau, R):
+    # every column starts at zero: those whose candidates eta*|b_s| all stay
+    # below tau settle in place, the others run the steps
+    A, Y, X0 = _random_codes(seed, 4)
+    X0[:, ::2] = 0.0
+    params = IhtParams(eta_x=eta, tau=tau, R=R)
+    with pytest.MonkeyPatch.context() as mp:
+        stepped = record_iht_steps(mp)
+        closed = iht(A, Y, X0, params)
+    assert_same_codes(closed, stepped_iht(A, Y, X0, params))
+    quiet = np.abs(A.T @ Y).max(axis=0) < tau * (1.0 - 1e-9) / eta
+    assert not set(stepped) & set(np.flatnonzero(quiet[::2]) * 2)
+
+
+def test_zero_start_whose_candidate_reaches_tau_runs_the_steps(monkeypatch):
+    # tau = 0.1 is below eta_x*C_lb/2 = 0.25, so a column the init code zeroes
+    # (every |b_s| < 0.5) can still leave zero: column 0's candidate
+    # 0.5*0.3 = 0.15 reaches tau, column 1's stay at 0.05 and 0.075
+    A, Y = np.eye(3), np.array([[0.3, 0.1], [0.0, -0.15], [0.16, 0.0]])
+    params = IhtParams(eta_x=0.5, tau=0.1)
+    stepped = record_iht_steps(monkeypatch)
+    got = iht(A, Y, None, params)
+    X0 = hard_threshold(A.T @ Y, params.C_lb / 2.0)
+    assert not X0.any()
+    assert stepped == [0]
+    assert got[0, 0] != 0.0 and not got[:, 1].any()
+    assert_same_codes(got, stepped_iht(A, Y, X0, params))
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.integers(0, 2**32 - 1),
+    st.sampled_from([0.1, 0.2, 0.5, 0.9]),
+    st.floats(0.05, 0.3),
+    st.sampled_from([1, 2, 7, None]),
+)
 def test_iht_settles_every_column_of_the_one_sparse_rule(seed, eta, tau, R):
     A, Y, X0 = _random_codes(seed, 1)
     params = IhtParams(eta_x=eta, tau=tau, R=R)
     with pytest.MonkeyPatch.context() as mp:
-        stepped = _record_stepped(mp)
+        stepped = record_iht_steps(mp)
         iht(A, Y, X0, params)
     assert not set(stepped) & set(one_sparse_rule(A, Y, X0, eta, tau, params.R))
 
@@ -423,16 +472,36 @@ def test_iht_settles_every_column_of_the_one_sparse_rule(seed, eta, tau, R):
         dict(n=300, J=100, K=100, m=50, alpha=0.05, beta=0.05, seed=1, T_max=6, eps_T=1e-300),
         # canonical seed 42's first iterations
         dict(n=300, J=100, K=100, m=50, alpha=0.01, beta=0.01, seed=42, T_max=6),
+        # the wide_modes workload's shape, with 2 of its 8 iterations
+        dict(n=300, J=300, K=300, m=50, alpha=0.01, beta=0.01, seed=1, T_max=2, eps_T=1e-300),
     ],
-    ids=["dense_codes", "canonical"],
+    ids=["dense_codes", "canonical", "wide_modes"],
 )
 def test_no_column_reaches_the_steps_on_the_benchmark_shapes(cfg, monkeypatch):
     # every column of these runs is settled in closed form; a change that
     # stops certifying them (and slows the coding stage) shows here
-    stepped = _record_stepped(monkeypatch)
+    stepped = record_iht_steps(monkeypatch)
     config = SolverConfig(**cfg)
     result = run_online(config, SyntheticSource(config))
-    assert result.iterations == 6
+    assert result.iterations == cfg["T_max"]
+    assert stepped == []
+
+
+def test_no_column_reaches_the_steps_on_a_planted_file_run(monkeypatch):
+    # the tnsr3_files workload's shape: files planted eps0 from the file
+    # source's start, column by column. Every step learns, and every column
+    # is settled in closed form.
+    cfg = SolverConfig(n=300, J=100, K=100, m=50, alpha=0.5, beta=0.5, seed=1)
+    start = gen_dictionary(cfg.n, cfg.m, child_seed(cfg.seed, 0))
+    planted = perturb_init(start, cfg.resolved_eps0(), child_seed(cfg.seed, 1))
+    sparsity = SparsityParams(0.01, 0.01)
+    samples = [cp_fibers(planted, *gen_factor_pair(cfg.J, cfg.K, cfg.m, sparsity,
+                                                   Distribution.RADEMACHER, 1.0,
+                                                   child_seed(cfg.seed, 2, t)))
+               for t in range(3)]
+    stepped = record_iht_steps(monkeypatch)
+    result = run_online(cfg, FileSource(cfg, samples))
+    assert result.iterations == 3 and result.idle_iterations == 0
     assert stepped == []
 
 
