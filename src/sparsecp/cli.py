@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import fields
 
 from .metrics import align_columns, column_errors, match_columns, rel_frobenius
 from .runner import FileSource, RunMode, RunResult, SolverConfig, run_online
@@ -48,18 +49,18 @@ class _Parser(argparse.ArgumentParser):
 
 def _add_config_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--config", metavar="PATH", help="key=value config file")
-    for name in SolverConfig._parsers():
-        sub.add_argument(f"--{name}", metavar="V", dest=f"cfg_{name}")
+    for f in fields(SolverConfig):
+        sub.add_argument(f"--{f.name}", metavar="V", dest=f"cfg_{f.name}")
 
 
 def _collect_config(args, defaults: dict[str, str] | None = None) -> SolverConfig:
     merged: dict[str, str] = dict(defaults or {})
     if args.config:
         merged.update(parse_config_file(args.config))
-    for name in SolverConfig._parsers():
-        value = getattr(args, f"cfg_{name}", None)
+    for f in fields(SolverConfig):
+        value = getattr(args, f"cfg_{f.name}", None)
         if value is not None:
-            merged[name] = value
+            merged[f.name] = value
     return SolverConfig.from_mapping(merged)
 
 

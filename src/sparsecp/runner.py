@@ -25,7 +25,7 @@ import enum
 import math
 import time
 from dataclasses import MISSING, dataclass, fields
-from typing import Callable, Iterable, Protocol, get_args, get_type_hints
+from typing import Iterable, Protocol, get_args, get_type_hints
 
 import numpy as np
 
@@ -91,43 +91,29 @@ class RunMode(enum.Enum):
     BATCH = "batch"
 
 
-def _parse_choice(enum_cls: type[enum.Enum], name: str) -> Callable[[str], enum.Enum]:
-    """Parse a member's value, ignoring case, surrounding spaces and underscores."""
-    members = {v.value.replace("_", ""): v for v in enum_cls}
-
-    def run(text: str):
-        key = text.strip().lower().replace("_", "")
-        if key not in members:
-            expected = " or ".join(v.value for v in enum_cls)
-            raise ValueError(f"Unknown {name} {text!r}; expected {expected}")
-        return members[key]
-
-    return run
-
-
-def _parse_optional(parse: Callable[[str], object]) -> Callable[[str], object]:
-    def run(text: str):
+def _parse_field(name: str, hint, text: str):
+    """Read a config value for the SolverConfig field name of annotation hint:
+    "auto" is unset for X | None, an enum member is named by its value
+    (ignoring case, surrounding spaces and underscores), else int or float."""
+    if get_args(hint):  # X | None
         if text.strip().lower() == _AUTO:
             return None
-        return parse(text)
-
-    return run
-
-
-def _field_parser(name: str, hint) -> Callable[[str], object]:
-    """The text parser for a SolverConfig field of annotation hint."""
-    if hint in (int, float):
-        return hint
+        hint = get_args(hint)[0]
     if isinstance(hint, enum.EnumMeta):
-        return _parse_choice(hint, name)
-    inner, _none = get_args(hint)  # X | None
-    return _parse_optional(inner)
+        key = text.strip().lower().replace("_", "")
+        for member in hint:
+            if member.value.replace("_", "") == key:
+                return member
+        expected = " or ".join(v.value for v in hint)
+        raise ValueError(f"Unknown {name} {text!r}; expected {expected}")
+    return hint(text)
 
 
 @dataclass(frozen=True)
 class SolverConfig:
     """Full run configuration. The fields are the config-file keys and CLI
-    flags: each annotation picks the key's parser, no default makes it required."""
+    flags: each annotation says how _parse_field reads the key, no default
+    makes it required."""
 
     n: int
     J: int
@@ -204,16 +190,10 @@ class SolverConfig:
     # Config-file parsing ------------------------------------------------
 
     @classmethod
-    def _parsers(cls) -> dict[str, Callable[[str], object]]:
-        """Each field's text parser, in field order, read off its annotation."""
-        hints = get_type_hints(cls)
-        return {f.name: _field_parser(f.name, hints[f.name]) for f in fields(cls)}
-
-    @classmethod
     def from_mapping(cls, raw: dict[str, str]) -> "SolverConfig":
         """Build a config from string key=value pairs; unknown keys error."""
-        parsers = cls._parsers()
-        unknown = sorted(set(raw) - set(parsers))
+        hints = get_type_hints(cls)
+        unknown = sorted(set(raw) - set(hints))
         if unknown:
             raise ValueError(f"Unknown config keys: {', '.join(unknown)}")
         required = [f.name for f in fields(cls) if f.default is MISSING]
@@ -223,7 +203,7 @@ class SolverConfig:
         kwargs = {}
         for key, text in raw.items():
             try:
-                kwargs[key] = parsers[key](text)
+                kwargs[key] = _parse_field(key, hints[key], text)
             except ValueError as exc:
                 raise ValueError(f"Bad value for config key {key}: {text!r} ({exc})")
         return cls(**kwargs)

@@ -268,6 +268,8 @@ def write_matrix_csv(path, M) -> None:
     """First line `rows,cols`, then one comma-separated line per row."""
     M = as_matrix(M)
     rows, cols = M.shape
+    if rows < 1 or cols < 1:  # read_matrix_csv rejects such a file
+        raise ValueError(f"{path}: dimensions must be >= 1, got {(rows, cols)}")
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(f"{rows},{cols}\n")
         for row in M:  # row by row: M.tolist() would hold every value as a float object

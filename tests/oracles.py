@@ -32,7 +32,9 @@ from scipy.optimize import linear_sum_assignment
 from sparsecp import sparse_coding
 from sparsecp.dict_update import SampleMode
 from sparsecp.linalg import column_norms, normalize_columns, rank1_svd
-from sparsecp.metrics import Alignment, align_columns, align_rows, column_errors, match_columns
+from sparsecp.metrics import (
+    Alignment, align_columns, align_rows, column_errors, match_columns, rel_frobenius,
+)
 from sparsecp.runner import RunMode
 from sparsecp.synth import child_seed, gen_dictionary, gen_factor_pair, perturb_init
 from sparsecp.tensor_core import cp_compose, mode1_unfold
@@ -286,10 +288,10 @@ def scalar_rank1_blocks(blocks, nr, nc):
     return np.array(sigma1), np.concatenate(u1 + [np.empty(0)]), np.concatenate(v1 + [np.empty(0)])
 
 
-def dense_reference_run(cfg, T: int, samples=None):
+def dense_reference_run(cfg, T: int, samples=None, step="paper"):
     """The paper's loop for T iterations or until it stops; returns (final A,
-    [(err_A_max, signed support held)] per iteration, the last codes X, their
-    kept fiber indices).
+    [(err_A_max, signed support held, err_A_relF)] per iteration, the last
+    codes X, their kept fiber indices).
 
     Without samples it runs on SyntheticSource's own draws, composing the
     dense n x J x K cube and unfolding it, and err_A_max is the aligned
@@ -297,13 +299,17 @@ def dense_reference_run(cfg, T: int, samples=None):
     FileSource's dictionary, scatters each sample into a dense n x JK
     unfolding, ends when they run out, and err_A_max is the movement
     ||A_new - A||, which stops the run only after a step that learned (a
-    selected code is non-zero); signed support held is then None. Batch
-    mode draws sample 0 once and codes it at every iteration. Each
+    selected code is non-zero); signed support held and err_A_relF are
+    then None. Batch mode draws sample 0 once and codes it at every
+    iteration. Each
     iteration keeps the columns above zero_tol, codes every column from
     T_{C_lb/2}(A^T Y) by R residual-form IHT steps, and steps A by
     (1/p)(A X - Y) sign(X)^T over the sample_mode columns, the residual
     taken with the A that coded them. Column k*J + j is the fiber (j, k);
-    independent_only keeps j == k.
+    independent_only keeps j == k. step="mass" is the per-atom mass step
+    instead: column i of (A X - Y) sign(X)^T is divided by atom i's code
+    mass sum_j |X_ij| over those columns, the multiplier is 1 in place of
+    eta_A, and an atom with no mass takes no step.
     """
     if samples is None:
         A_star = gen_dictionary(cfg.n, cfg.m, child_seed(cfg.seed, 0))
@@ -311,7 +317,8 @@ def dense_reference_run(cfg, T: int, samples=None):
     else:
         samples = iter(samples)
         A = gen_dictionary(cfg.n, cfg.m, child_seed(cfg.seed, 0))
-    ihtp, eta_A = cfg.iht_params(), cfg.resolved_eta_A()
+    ihtp = cfg.iht_params()
+    eta = cfg.resolved_eta_A() if step == "paper" else 1.0
     history = []
     for t in range(T):
         if t == 0 or cfg.mode is RunMode.ONLINE:
@@ -335,17 +342,23 @@ def dense_reference_run(cfg, T: int, samples=None):
             sel = keep % cfg.J == keep // cfg.J
         A_prev = A
         if sel.any():
-            g = (A @ X[:, sel] - Y[:, sel]) @ np.sign(X[:, sel]).T / sel.sum()
-            A = normalize_columns(A - eta_A * g)
+            g = (A @ X[:, sel] - Y[:, sel]) @ np.sign(X[:, sel]).T
+            if step == "paper":
+                scale = sel.sum()
+            else:  # an atom with no mass has a zero gradient column
+                mass = np.abs(X[:, sel]).sum(axis=1)
+                scale = np.where(mass > 0.0, mass, 1.0)
+            A = normalize_columns(A - eta * (g / scale))
         if samples is None:
             align = match_columns(A, A_star)
             err = column_errors(A, A_star, align).max_err
             X_star = np.einsum("jr,kr->rkj", B, C).reshape(cfg.m, -1)[:, keep]
-            history.append((err, np.array_equal(np.sign(align_rows(X, align)), np.sign(X_star))))
+            history.append((err, np.array_equal(np.sign(align_rows(X, align)), np.sign(X_star)),
+                            rel_frobenius(align_columns(A, align), A_star)))
             stop = err <= cfg.eps_T
         else:
             err = float(np.linalg.norm(A - A_prev))
-            history.append((err, None))
+            history.append((err, None, None))
             stop = err <= cfg.eps_T and X[:, sel].any()
         if stop:
             break

@@ -416,6 +416,15 @@ def test_each_subcommand_help_lists_out_once(capsys, monkeypatch, command):
     assert len(re.findall(r"^  --out OUT +output directory$", text, re.M)) == 1
 
 
+@pytest.mark.parametrize("command", ["synth-run", "decompose"])
+def test_help_lists_one_flag_per_config_field_in_field_order(capsys, monkeypatch, command):
+    monkeypatch.setenv("COLUMNS", "200")
+    with pytest.raises(SystemExit):
+        main([command, "--help"])
+    flags = re.findall(r"^  --(\w+) V$", capsys.readouterr().out, re.M)
+    assert flags == [f.name for f in fields(SolverConfig)]
+
+
 @pytest.mark.parametrize("key, value", [("eta_A", "preset"), ("eps0", "default")])
 def test_auto_has_no_synonyms(tmp_path, capsys, key, value):
     keys = {"n": 40, "J": 15, "K": 15, "m": 6, "alpha": 0.1, "beta": 0.1, "eta_A": 8.0}

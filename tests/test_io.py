@@ -504,6 +504,19 @@ def test_matrix_csv_header(tmp_path):
     assert p.read_text(encoding="utf-8").splitlines()[0] == "2,3"
 
 
+def test_matrix_csv_writer_rejects_an_empty_matrix(tmp_path):
+    # read_matrix_csv rejects such a file at line 1, so none is written
+    p = tmp_path / "e.csv"
+    for shape in ((2, 0), (0, 3)):
+        with pytest.raises(ValueError) as exc:
+            write_matrix_csv(p, np.zeros(shape))
+        assert str(exc.value) == f"{p}: dimensions must be >= 1, got {shape}"
+        assert not p.exists()
+    write_matrix_csv(p, np.array([[-2.5]]))
+    assert p.read_bytes() == b"1,1\n-2.5\n"
+    assert np.array_equal(read_matrix_csv(p), [[-2.5]])
+
+
 def test_matrix_csv_errors(tmp_path):
     p = tmp_path / "bad.csv"
     p.write_text("", encoding="utf-8")
@@ -750,6 +763,27 @@ def test_config_echo_writes_auto_and_reads_it_back(tmp_path):
     raw = parse_config_file(tmp_path / "config.txt")
     assert (raw["R"], raw["eta_A"], raw["eps0"]) == ("auto", "auto", "auto")
     assert SolverConfig.from_mapping(raw) == cfg
+    for text in (" AUTO ", "Auto"):  # in any case, with surrounding spaces
+        assert SolverConfig.from_mapping(raw | {"R": text, "eta_A": text, "eps0": text}) == cfg
+
+
+CONFIG_BASE = {"n": "40", "J": "12", "K": "11", "m": "8", "alpha": "0.1", "beta": "0.1"}
+
+
+@pytest.mark.parametrize("key, text, reason", [
+    ("mode", "offline", "Unknown mode 'offline'; expected online or batch"),
+    ("dist", " Gauss ", "Unknown dist ' Gauss '; expected rademacher or bounded_subgaussian"),
+    ("sample_mode", "all",
+     "Unknown sample_mode 'all'; expected all_nonzero or independent_only"),
+    ("n", "3.5", "invalid literal for int() with base 10: '3.5'"),
+    ("alpha", "lots", "could not convert string to float: 'lots'"),
+    ("n", "auto", "invalid literal for int() with base 10: 'auto'"),  # a required field
+    ("tau", " AUTO ", "could not convert string to float: ' AUTO '"),  # no X | None
+])
+def test_config_bad_value_names_its_key_text_and_reason(key, text, reason):
+    with pytest.raises(ValueError) as exc:
+        SolverConfig.from_mapping(CONFIG_BASE | {key: text})
+    assert str(exc.value) == f"Bad value for config key {key}: {text!r} ({reason})"
 
 
 # metrics / outputs -------------------------------------------------------

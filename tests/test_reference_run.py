@@ -43,8 +43,9 @@ def test_run_matches_the_dense_reference_loop(name):
     A, history, X, kept = dense_reference_run(cfg, cfg.T_max)
     assert np.abs(result.A - A).max() <= 1e-12
     assert [r.t for r in result.records] == list(range(len(history)))
-    for record, (err_A_max, signed_support_ok) in zip(result.records, history):
+    for record, (err_A_max, signed_support_ok, err_A_relF) in zip(result.records, history):
         assert abs(record.err_A_max - err_A_max) <= 1e-9 * err_A_max, record.t
+        assert abs(record.err_A_relF - err_A_relF) <= 1e-9 * err_A_relF, record.t
         assert record.signed_support_ok == signed_support_ok, record.t
         assert signed_support_ok or name not in SUPPORTS_HOLD, record.t
     B, C = svd_split(X, kept, cfg.J, cfg.K)
@@ -72,8 +73,19 @@ def test_file_run_matches_the_dense_reference_loop(tmp_path):
     assert result.stop_reason == "source_exhausted"
     assert np.abs(result.A - A).max() <= 1e-12
     assert [r.t for r in result.records] == list(range(len(history))) == list(range(12))
-    for record, (movement, _) in zip(result.records, history):
+    for record, (movement, _, _) in zip(result.records, history):
         assert abs(record.err_A_max - movement) <= 1e-9 * movement, record.t
     B, C = svd_split(X, kept, J, K)
     assert np.abs(result.B - B).max() <= 1e-12
     assert np.abs(result.C - C).max() <= 1e-12
+
+
+def test_mass_step_reference_recovers_canonical_in_ten_iterations():
+    # the per-atom mass step (multiplier 1, no eta_A) on canonical seed 42: the
+    # stop after 10 iterations, and the first err_A_relF <= 1e-8 at t = 9
+    cfg = SolverConfig(**{**CASES["canonical"], "eps_T": 1e-13, "T_max": 150})
+    _, history, _, _ = dense_reference_run(cfg, cfg.T_max, step="mass")
+    assert len(history) == 10
+    assert history[-1][0] <= cfg.eps_T < min(err for err, _, _ in history[:-1])
+    assert next(t for t, (_, _, relF) in enumerate(history) if relF <= 1e-8) == 9
+    assert all(signed_support_ok for _, signed_support_ok, _ in history)

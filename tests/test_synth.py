@@ -164,6 +164,7 @@ def test_distribution_parse():
         parse("dist", "gaussian")
     # the run mode parses the same way
     assert parse("mode", " BATCH") is RunMode.BATCH
+    assert parse("mode", " On_Line") is RunMode.ONLINE
     with pytest.raises(ValueError, match="Unknown mode 'offline'; expected online or batch"):
         parse("mode", "offline")
 

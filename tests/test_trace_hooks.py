@@ -104,3 +104,46 @@ def test_benchmark_child_solves_tnsr3_files(tmp_path, tnsr3_inputs, trace):
     assert out["p"] == inputs["fibers"]
     assert out["final_err_A_max"] < inputs["eps0"]
     assert ("spans" in out) == bool(trace)
+
+
+HOOK_CALLS = """
+import json, sys
+import numpy as np
+sys.path.insert(0, sys.argv[1])
+import spans
+import sparsecp
+from sparsecp.sparse_coding import IhtParams
+
+tracer = spans.install(sparsecp)
+runner = sparsecp.runner
+Z = np.zeros((5, 12))  # n = 5, J*K = 3*4; fibers 1, 4 and 7 are non-zero
+Z[:, [1, 4, 7]] = np.arange(15.0).reshape(5, 3) + 1.0
+Y, cmap = runner.extract_nonzero_columns(Z)
+A = np.linalg.qr(np.arange(1.0, 21.0).reshape(5, 4) ** 0.5)[0]  # m = 4 unit atoms
+runner.iht(A, Y, None, IhtParams(R=7))
+S = np.zeros((4, 12))  # rows 1 and 3 are zero: degenerate
+S[0, [0, 1, 3, 4]] = [1.0, 2.0, 2.0, 4.0]
+S[2, 5] = -1.5
+untangled = runner.untangle_krp(S, 3, 4)
+print(json.dumps({"counts": tracer.counts, "degenerate_rows": untangled.degenerate_rows,
+                  "spans": [span[0] for span in tracer.spans if span[3] == -1]}))
+"""
+
+
+def test_tracer_hooks_count_what_the_wrapped_calls_return(tmp_path):
+    # each hook reads a return value or argument by shape: extract's map .p and
+    # .total_cols, iht's fourth positional params.R, untangle_krp's
+    # .degenerate_rows; no traced solve calls untangle_krp, so only this checks it.
+    # A child process: install rebinds the package's attributes for good.
+    proc = run_python(["-c", HOOK_CALLS, ROOT / "perfbench"], cwd=tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    out = json.loads(proc.stdout)
+    assert out["spans"] == ["tensor_core.extract", "sparse_coding.iht", "untangle.untangle"]
+    assert out["degenerate_rows"] == [1, 3]
+    assert out["counts"] == {
+        "tensor_core.cols_kept": 3,
+        "tensor_core.cols_total": 12,
+        "tensor_core.dense_mb": 5 * 12 * 8 / 1e6,
+        "sparse_coding.iht_gflop": 4 * 5 * 4 * 3 * 7 / 1e9,
+        "untangle.degenerate_rows": 2,
+    }
